@@ -391,30 +391,36 @@ let emit_eval_json () =
    delta is the protocol's overhead on candidate evaluation; the
    acceptance bar is <5%.  Emits BENCH_faults.json. *)
 
-let faults_bench_run ~protocol kernel ~n =
-  let once () =
-    let faults =
-      match protocol with
-      | None -> Faults.none
-      | Some _ -> Faults.make ~seed:1 ()
-    in
-    let engine =
-      match protocol with
-      | None -> Core.Engine.create Machine.sgi_r10000
-      | Some p -> Core.Engine.create ~faults ~protocol:p Machine.sgi_r10000
-    in
-    let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
-    (Core.Engine.stats engine, r.Core.Eco.measurement.Core.Executor.mflops)
+let faults_bench_once ~protocol kernel ~n =
+  let engine =
+    match protocol with
+    | None -> Core.Engine.create Machine.sgi_r10000
+    | Some p ->
+      Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol:p
+        Machine.sgi_r10000
   in
-  (* Best of three: scheduler jitter on shared machines easily swamps
-     the protocol's real cost, and the minimum wall time is the least
-     contaminated estimate of it. *)
-  let runs = [ once (); once (); once () ] in
-  List.fold_left
-    (fun (bs, bm) (s, m) ->
-      if s.Core.Engine.eval_seconds < bs.Core.Engine.eval_seconds then (s, m)
-      else (bs, bm))
-    (List.hd runs) (List.tl runs)
+  let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
+  (Core.Engine.stats engine, r.Core.Eco.measurement.Core.Executor.mflops)
+
+(* Best of three per side: scheduler jitter on shared machines easily
+   swamps the protocol's real cost, and the minimum wall time is the
+   least contaminated estimate of it.  The six runs alternate plain and
+   protocol, so host drift over the run lands on both sides instead of
+   reading as overhead. *)
+let faults_bench_pair ~protocol kernel ~n =
+  let runs =
+    List.init 3 (fun _ ->
+        let plain = faults_bench_once ~protocol:None kernel ~n in
+        (plain, faults_bench_once ~protocol:(Some protocol) kernel ~n))
+  in
+  let best side =
+    List.fold_left
+      (fun ((bs, _) as b) ((s, _) as r) ->
+        if s.Core.Engine.eval_seconds < bs.Core.Engine.eval_seconds then r
+        else b)
+      (List.hd side) (List.tl side)
+  in
+  (best (List.map fst runs), best (List.map snd runs))
 
 let emit_faults_json () =
   let protocol = { Core.Engine.default_protocol with trials = 3 } in
@@ -423,9 +429,8 @@ let emit_faults_json () =
       (fun ((kernel : Kernels.Kernel.t), n) ->
         let name = kernel.Kernels.Kernel.name in
         Format.printf "faults bench: %s n=%d...@." name n;
-        let plain, plain_mflops = faults_bench_run ~protocol:None kernel ~n in
-        let guarded, guarded_mflops =
-          faults_bench_run ~protocol:(Some protocol) kernel ~n
+        let (plain, plain_mflops), (guarded, guarded_mflops) =
+          faults_bench_pair ~protocol kernel ~n
         in
         (* A zero-rate plan must not change the search at all. *)
         if plain_mflops <> guarded_mflops then

@@ -452,8 +452,8 @@ let tune_cmd =
       & info [ "retries" ] ~docv:"R"
           ~doc:
             "Retry budget per trial for transient failures and hangs \
-             (exponential backoff); a candidate that exhausts it is \
-             quarantined and never re-measured.")
+             (each retry re-measures at once); a candidate that exhausts \
+             it is quarantined and never re-measured.")
   in
   let checkpoint_arg =
     Arg.(

@@ -46,9 +46,7 @@ let failure_code = function
 type protocol = {
   trials : int;
   max_retries : int;
-  backoff_s : float;
   cycle_cap : float;
-  wall_cap_s : float;
   spread_rtol : float;
   min_trials : int;
 }
@@ -57,9 +55,7 @@ let default_protocol =
   {
     trials = 1;
     max_retries = 2;
-    backoff_s = 0.0;
     cycle_cap = infinity;
-    wall_cap_s = infinity;
     spread_rtol = 0.02;
     min_trials = 2;
   }
@@ -611,16 +607,18 @@ let model_score t (r : request) =
   t.model_seconds <- t.model_seconds +. (Unix_time.now () -. t0);
   s
 
+(* Insert a prefetch plan into an instantiated program. *)
+let with_prefetches machine program prefetch =
+  let line = Machine.line_elems machine 0 in
+  List.fold_left
+    (fun p (array, distance) ->
+      Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
+    program prefetch
+
 let build_program machine (r : request) =
   match Variant.instantiate r.variant ~bindings:r.bindings with
   | exception Invalid_argument _ -> None
-  | program ->
-    let line = Machine.line_elems machine 0 in
-    Some
-      (List.fold_left
-         (fun p (array, distance) ->
-           Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
-         program r.prefetch)
+  | program -> Some (with_prefetches machine program r.prefetch)
 
 let build t r = build_program t.machine (canonical r)
 
@@ -717,12 +715,8 @@ let clean_from_trace ?sampling machine dt (r : request) =
       let buf = Executor.synth_scratch () in
       let cut = Demand_trace.synthesize dt ~plan:r.prefetch ~into:buf in
       let synth_seconds = Unix_time.now () -. t0 in
-      let line = Machine.line_elems machine 0 in
       let program =
-        List.fold_left
-          (fun p (array, distance) ->
-            Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
-          (Demand_trace.program dt) r.prefetch
+        with_prefetches machine (Demand_trace.program dt) r.prefetch
       in
       let m =
         Executor.measure_from_trace ~synth_seconds ?sampling machine
@@ -750,54 +744,35 @@ type raw =
   | Infeasible
   | Failed of failure_reason * tele
 
-(* Wrap one candidate's measurement in the fault-tolerant protocol:
+(* The protocol tail, applied to one candidate's clean measurement —
+   whether it came from the candidate's own simulation or from a
+   batched group walk:
 
-   - the clean (deterministic) simulation runs once; if the fast path
-     raises — organically or by an injected crash — it degrades to the
-     [reference] closure interpreter (bit-identical measurements, so
-     results stay deterministic);
    - a deterministic simulated-cycle overrun is a final [Timeout];
-   - with an active fault plan, each of [protocol.trials] trials draws
-     its fate from the plan: transient failures and hangs are retried
-     with bounded exponential backoff, and exhausting the budget
-     quarantines the candidate;
+   - with an active fault plan or repeated trials, each of
+     [protocol.trials] trials draws its fate from the plan: transient
+     failures and hangs are retried up to [protocol.max_retries] times,
+     and exhausting the budget quarantines the candidate;
    - surviving trial samples are aggregated (median / trimmed mean, see
      {!Faults.aggregate}) with an adaptive early stop once the relative
      spread is tight.
 
-   Pure apart from wall-clock reads and backoff sleeps: every random
-   draw is keyed by [(key, trial, attempt)], so a candidate's outcome is
-   identical at any [--jobs] and in any evaluation order. *)
-let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
-    ~reference () =
-  let started = Unix_time.now () in
+   Pure: every random draw is keyed by [(key, trial, attempt)], so a
+   candidate's outcome is identical at any [--jobs], in any evaluation
+   order and on any measurement route.  [fallbacks] is the clean
+   measurement's own degradation count, carried into the telemetry. *)
+let protect ?(trial_base = 0) ?(fallbacks = 0) ~faults ~(protocol : protocol)
+    ~key clean =
   let retries = ref 0
   and trials = ref 0
-  and fallbacks = ref 0
   and early = ref 0 in
   let tele () =
     {
       t_retries = !retries;
       t_trials = !trials;
-      t_fallbacks = !fallbacks;
+      t_fallbacks = fallbacks;
       t_early_stops = !early;
     }
-  in
-  let clean =
-    if vm && Faults.crashes faults ~key then begin
-      (* injected fast-path crash: degrade this candidate to the
-         reference interpreter *)
-      incr fallbacks;
-      reference ()
-    end
-    else
-      match primary () with
-      | c -> c
-      | exception Invalid_argument _ -> Clean_failed Malformed_program
-      | exception _ when vm ->
-        (* the fast path died unexpectedly: fall back and keep searching *)
-        incr fallbacks;
-        reference ()
   in
   match clean with
   | Clean_infeasible -> Infeasible
@@ -805,19 +780,11 @@ let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
   | Clean (program, m) -> (
     let c0 = Executor.cycles m in
     if c0 > protocol.cycle_cap then Failed (Timeout, tele ())
-    else if
-      protocol.wall_cap_s < infinity
-      && Unix_time.now () -. started > protocol.wall_cap_s
-    then Failed (Timeout, tele ())
     else if (not faults.Faults.active) && protocol.trials <= 1 then
       (* the legacy path: no draws, no aggregation, the measurement
          exactly as simulated *)
       Measured (program, m, tele ())
     else begin
-      let deadline =
-        if protocol.wall_cap_s < infinity then started +. protocol.wall_cap_s
-        else infinity
-      in
       let n_trials = protocol.trials in
       let samples = Array.make n_trials 0.0 in
       let filled = ref 0 in
@@ -825,23 +792,19 @@ let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
       (try
          for trial = 0 to n_trials - 1 do
            let rec attempt a =
-             if Unix_time.now () > deadline then Error Timeout
-             else
-               match
-                 Faults.draw faults ~key ~trial:(trial_base + trial) ~attempt:a
-               with
-               | Faults.Sample mult ->
-                 let c = c0 *. mult in
-                 if c > protocol.cycle_cap then retry_or a Timeout else Ok c
-               | Faults.Transient_failure -> retry_or a Transient
-               | Faults.Hang -> retry_or a Timeout
+             match
+               Faults.draw faults ~key ~trial:(trial_base + trial) ~attempt:a
+             with
+             | Faults.Sample mult ->
+               let c = c0 *. mult in
+               if c > protocol.cycle_cap then retry_or a Timeout else Ok c
+             | Faults.Transient_failure -> retry_or a Transient
+             | Faults.Hang -> retry_or a Timeout
            and retry_or a reason =
              if a >= protocol.max_retries then
                Error (if protocol.max_retries > 0 then Quarantined else reason)
              else begin
                incr retries;
-               if protocol.backoff_s > 0.0 then
-                 Unix.sleepf (protocol.backoff_s *. float_of_int (1 lsl a));
                attempt (a + 1)
              end
            in
@@ -871,6 +834,31 @@ let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
         let m = if agg = c0 then m else Executor.perturb m (agg /. c0) in
         Measured (program, m, tele ())
     end)
+
+(* One candidate measured on its own: the clean (deterministic)
+   simulation runs once; if the fast path raises — organically or by an
+   injected crash — it degrades to the [reference] closure interpreter
+   (bit-identical measurements, so results stay deterministic).  Then
+   the [protect] tail. *)
+let harden ?trial_base ~faults ~protocol ~vm ~key ~primary ~reference () =
+  let fallbacks = ref 0 in
+  let clean =
+    if vm && Faults.crashes faults ~key then begin
+      (* injected fast-path crash: degrade this candidate to the
+         reference interpreter *)
+      incr fallbacks;
+      reference ()
+    end
+    else
+      match primary () with
+      | c -> c
+      | exception Invalid_argument _ -> Clean_failed Malformed_program
+      | exception _ when vm ->
+        (* the fast path died unexpectedly: fall back and keep searching *)
+        incr fallbacks;
+        reference ()
+  in
+  protect ?trial_base ~fallbacks:!fallbacks ~faults ~protocol ~key clean
 
 (* --- demand-trace LRU ------------------------------------------------ *)
 
@@ -1110,14 +1098,27 @@ let save_checkpoint t =
         ck_best = best_cycles t;
       }
     in
-    let payload = Marshal.to_string blob [] in
     (* Write-then-rename: a kill at any instant leaves either the old
-       complete checkpoint or the new complete one, never a torn file. *)
+       complete checkpoint or the new complete one, never a torn file.
+       The payload streams into the file without Marshal's sharing table
+       (memo values are acyclic, which [No_sharing] needs) and without
+       a string copy of the blob: the table holds one entry per heap
+       block of the memo, so the two together would set the peak
+       memory of a checkpointing tune, on every periodic write.  Its
+       digest is read back from the written bytes and patched into the
+       placeholder before the rename, so the layout is unchanged. *)
     let tmp = file ^ ".tmp" in
     let oc = open_out_bin tmp in
     output_string oc checkpoint_magic;
-    output_string oc (Digest.string payload);
-    output_string oc payload;
+    output_string oc (String.make 16 '\000');
+    Marshal.to_channel oc blob [ Marshal.No_sharing ];
+    flush oc;
+    let ic = open_in_bin tmp in
+    seek_in ic (String.length checkpoint_magic + 16);
+    let digest = Digest.channel ic (-1) in
+    close_in ic;
+    seek_out oc (String.length checkpoint_magic);
+    output_string oc digest;
     close_out oc;
     Sys.rename tmp file
 
@@ -1433,25 +1434,23 @@ let note_confirm_skipped t ?log () =
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
 (* Does the engine collapse sweep groups into batched multi-plan
-   replays?  Only on the fast path with the per-candidate measurement
-   protocol inert: an active fault plan or repeated trials need
-   per-candidate draws, which the shared group walk bypasses. *)
-let grouping_capable t =
-  t.batch_replay
-  && t.path = Executor.Fast
-  && (not t.faults.Faults.active)
-  && t.protocol.trials <= 1
-
-let tele0 = { t_retries = 0; t_trials = 0; t_fallbacks = 0; t_early_stops = 0 }
+   replays?  On the fast path with batching on.  The measurement
+   protocol does not stand in the way: each member's clean measurement
+   from the group walk goes through the same [protect] tail as a
+   singleton's, and candidates with a planned fast-path crash are left
+   out of groups ([evaluate_batch]). *)
+let grouping_capable t = t.batch_replay && t.path = Executor.Fast
 
 (* One batched sweep group: [members] share one demand-trace key.  All
    plans are measured in a single multi-plan walk over the captured
    trace ([Demand_trace.measure_plans]); in incremental mode,
    distance-only siblings are re-priced from the base plan's slack
    samples instead ([Demand_trace.reprice_group]), and a re-priced
-   member comes back as [None].  The returned thunk is
-   engine-state-free, so it can run on any worker domain; if the group
-   walk dies, every member degrades to its own hardened task. *)
+   member comes back as [None].  Every measured member then goes
+   through [protect], exactly as if it had been simulated on its own.
+   The returned thunk is engine-state-free, so it can run on any worker
+   domain; if the group walk dies, every member degrades to its own
+   hardened task. *)
 let group_unit t members =
   let r0, fp0, _ = members.(0) in
   match candidate_dt t r0 fp0 with
@@ -1462,10 +1461,11 @@ let group_unit t members =
   | Some dt ->
     t.batched_groups <- t.batched_groups + 1;
     t.batched_candidates <- t.batched_candidates + Array.length members;
-    let machine = t.machine in
+    let machine = t.machine
+    and faults = t.faults
+    and protocol = t.protocol in
     let kernel = r0.variant.Variant.kernel in
     let n = r0.n in
-    let protocol = t.protocol in
     let sampling = engine_sampling t in
     let use_incremental = t.incremental && t.objective = Objective.Cycles in
     let plans = Array.map (fun ((r : request), _, _) -> r.prefetch) members in
@@ -1476,28 +1476,14 @@ let group_unit t members =
        coordinator only after [Domain.join] — no race. *)
     let joint = ref 0 in
     let thunk () =
-      let started = Unix_time.now () in
-      (* Replicate [harden]'s passthrough checks — grouping only engages
-         when the protocol is inert, so this is the whole protocol:
-         deterministic cycle cap, wall cap, typed malformed failures. *)
       let finishing i m =
-        let (r : request), _, _ = members.(i) in
-        if Executor.cycles m > protocol.cycle_cap then Failed (Timeout, tele0)
-        else if
-          protocol.wall_cap_s < infinity
-          && Unix_time.now () -. started > protocol.wall_cap_s
-        then Failed (Timeout, tele0)
-        else
-          let line = Machine.line_elems machine 0 in
-          match
-            List.fold_left
-              (fun p (array, distance) ->
-                Transform.Prefetch_insert.apply p ~array ~distance
-                  ~line_elems:line)
-              (Demand_trace.program dt) r.prefetch
-          with
-          | exception Invalid_argument _ -> Failed (Malformed_program, tele0)
-          | program -> Measured (program, m, tele0)
+        let (r : request), fp, _ = members.(i) in
+        let clean =
+          match with_prefetches machine (Demand_trace.program dt) r.prefetch with
+          | exception Invalid_argument _ -> Clean_failed Malformed_program
+          | program -> Clean (program, m)
+        in
+        protect ~faults ~protocol ~key:(fault_key fp) clean
       in
       match
         if use_incremental then
@@ -1629,9 +1615,12 @@ let evaluate_batch t ?log reqs =
         let order = ref [] in
         List.iter
           (fun (((r : request), fp, _) as e) ->
+            (* A candidate whose fast path is planned to crash degrades
+               to the closure reference, so it is measured on its own. *)
             let groupable =
               r.prefetch <> []
               && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+              && not (Faults.crashes t.faults ~key:(fault_key fp))
             in
             if groupable then begin
               let key = trace_key fp in

@@ -23,9 +23,9 @@
     - {b Fault tolerance} — with a {!Faults.t} plan and a {!protocol},
       each candidate is measured under a resilient protocol: repeated
       trials aggregated by median/trimmed mean with adaptive early
-      stop, bounded retry with exponential backoff on transient
-      failures and hangs, deterministic evaluation deadlines,
-      quarantine when the retry budget is exhausted, and graceful
+      stop, bounded retry on transient failures and hangs, a
+      deterministic simulated-cycle deadline, quarantine when the
+      retry budget is exhausted, and graceful
       degradation from the [Fast] VM path to the [Closures] reference
       interpreter when the fast path dies.  Every fault draw is keyed
       by the candidate fingerprint, so results stay bit-identical at
@@ -55,7 +55,9 @@ type failure_reason =
   | Transient
       (** a transient measurement failure, with no retry budget to
           absorb it *)
-  | Timeout  (** evaluation deadline (simulated-cycle or wall cap) hit *)
+  | Timeout
+      (** the simulated-cycle cap was exceeded, or a hang met an empty
+          retry budget *)
   | Quarantined
       (** failed persistently: the retry budget was exhausted *)
 
@@ -74,22 +76,19 @@ type protocol = {
   max_retries : int;
       (** retry budget per trial for transient failures and hangs;
           [0] makes the first transient final *)
-  backoff_s : float;
-      (** base backoff before retry [a] sleeps [backoff_s * 2^a]
-          seconds; [0.] never sleeps *)
   cycle_cap : float;
       (** deterministic deadline: a candidate whose clean simulated
           cycles (or any perturbed trial) exceed this fails with
           [Timeout] *)
-  wall_cap_s : float;  (** wall-clock deadline per candidate *)
   spread_rtol : float;
       (** adaptive early stop: stop trialling once the relative spread
           of the samples is within this tolerance *)
   min_trials : int;  (** never early-stop before this many trials *)
 }
 
-(** [{ trials = 1; max_retries = 2; backoff_s = 0.; cycle_cap = infinity;
-       wall_cap_s = infinity; spread_rtol = 0.02; min_trials = 2 }] *)
+(** [{ trials = 1; max_retries = 2; cycle_cap = infinity;
+       spread_rtol = 0.02; min_trials = 2 }].  The engine-level wall
+    clock bound is {!set_deadline}. *)
 val default_protocol : protocol
 
 (** [create ?jobs ?path ?faults ?protocol machine] makes an engine for
@@ -179,12 +178,13 @@ val set_prefilter : t -> int option -> unit
       {!Search_log.note_repriced}) and are {e not} memoized — like
       pre-filter skips, a later request can still measure them.
 
-    Batching engages only when the engine is on the [Fast] path with no
-    active fault plan and [trials <= 1] (the group bypasses the
-    per-candidate protocol, which would otherwise need per-candidate
-    draws); the cycle-cap and wall-cap deadlines still apply.  With
-    batching disabled and no sampling spec, evaluation is byte-for-byte
-    the historical behaviour. *)
+    Batching engages whenever the engine is on the [Fast] path, fault
+    plan and trials included: the group walk yields each member's clean
+    measurement, and the protocol (cycle cap, seeded trial draws,
+    retries, quarantine, aggregation) then applies to each member
+    exactly as to a candidate measured alone.  With batching disabled
+    and no sampling spec, evaluation is byte-for-byte the historical
+    behaviour. *)
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
@@ -236,8 +236,11 @@ val best_cycles : t -> float option
 
 (** Will {!evaluate_batch} collapse sweep groups into batched
     multi-plan replays under the current configuration?  True on the
-    [Fast] path with batching enabled, no active fault plan and
-    [trials <= 1].  Searches consult this to decide when a speculative
+    [Fast] path with batching enabled, whatever the fault plan and
+    protocol: the protocol applies per member after the group walk.
+    Candidates with a planned fast-path crash ({!Faults.crashes}) are
+    still measured on their own, so they degrade to the closure
+    reference.  Searches consult this to decide when a speculative
     distance pre-batch is worthwhile. *)
 val grouping_capable : t -> bool
 

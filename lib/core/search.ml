@@ -250,19 +250,14 @@ let prefetch_search st ~bindings current_cycles =
     let candidates = Transform.Prefetch_insert.candidates program in
     List.fold_left
       (fun (chosen, best_c) array ->
-        (* With batched replay enabled on the fast path, speculatively
-           measure the array's whole distance ladder as ONE batch: the
-           candidates share this point's demand trace, so the engine
-           collapses them into a single multi-plan walk (when grouping
-           is capable) and the serial descent below runs entirely on
-           memo hits.  The descent's decisions — and hence the chosen
-           plan — are untouched.  Keyed to the [batch_replay] flag
-           rather than [grouping_capable] so an active fault plan stays
-           transparent (same fresh-evaluation counts as a plain
-           engine); with the flag off, the search is byte-identical to
-           the historical one. *)
-        if Engine.batch_replay st.engine && Engine.path st.engine = Executor.Fast
-        then
+        (* When the engine groups sweeps, speculatively measure the
+           array's whole distance ladder as ONE batch: the candidates
+           share this point's demand trace, so the engine collapses them
+           into a single multi-plan walk and the serial descent below
+           runs entirely on memo hits.  The descent's decisions — and
+           hence the chosen plan — are untouched; without grouping, the
+           search is byte-identical to the historical one. *)
+        if Engine.grouping_capable st.engine then
           ignore
             (Engine.evaluate_batch st.engine ?log:st.log
                (List.map

@@ -69,25 +69,38 @@ let test_aggregate_trims_outlier () =
 
 (* --- determinism of the full search under injected faults --- *)
 
-let noisy_tune ~jobs =
+(* (answer, telemetry, batched groups) of a noisy search. *)
+let noisy_tune ~jobs ~batch =
   let faults = Faults.make ~seed:13 ~noise:0.05 ~transient:0.05 ~hang:0.02 () in
   let protocol = { Core.Engine.default_protocol with trials = 5 } in
   let engine = Core.Engine.create ~jobs ~faults ~protocol sgi in
+  Core.Engine.set_batch_replay engine batch;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:32 in
   let o = r.Core.Eco.outcome in
   let s = Core.Engine.stats engine in
-  ( o.Core.Search.variant.Core.Variant.name,
-    o.Core.Search.bindings,
-    o.Core.Search.prefetch,
-    Core.Executor.cycles r.Core.Eco.measurement,
-    (s.Core.Engine.fresh, s.Core.Engine.retries, s.Core.Engine.failed) )
+  ( ( o.Core.Search.variant.Core.Variant.name,
+      o.Core.Search.bindings,
+      o.Core.Search.prefetch,
+      Core.Executor.cycles r.Core.Eco.measurement ),
+    (s.Core.Engine.fresh, s.Core.Engine.retries, s.Core.Engine.failed),
+    s.Core.Engine.batched_groups )
 
 let test_faulty_search_jobs_deterministic () =
-  let serial = noisy_tune ~jobs:1 in
-  let parallel = noisy_tune ~jobs:4 in
+  let a1, t1, g1 = noisy_tune ~jobs:1 ~batch:true in
+  let a4, t4, g4 = noisy_tune ~jobs:4 ~batch:true in
+  let b1, u1, _ = noisy_tune ~jobs:1 ~batch:false in
+  let b4, u4, _ = noisy_tune ~jobs:4 ~batch:false in
   Alcotest.(check bool)
-    "jobs=1 and jobs=4 under faults: same answer, same telemetry" true
-    (serial = parallel)
+    "jobs 1 and 4, batching on and off, under faults: same answer" true
+    (a1 = a4 && a1 = b1 && a1 = b4);
+  Alcotest.(check bool) "batching on: same telemetry at jobs 1 and 4" true
+    (t1 = t4);
+  Alcotest.(check bool) "batching off: same telemetry at jobs 1 and 4" true
+    (u1 = u4);
+  (* The protocol applies per member after the group walk, so sweeps
+     stay batched under an active plan with repeated trials. *)
+  Alcotest.(check bool) "sweeps batched under the protocol" true
+    (g1 > 0 && g4 > 0)
 
 let test_zero_rate_plan_is_transparent () =
   (* An active plan with every rate at zero runs the whole protocol
@@ -206,7 +219,15 @@ let test_crash_degrades_to_closures () =
   Alcotest.(check (float 0.0)) "crashed Fast equals Closures"
     (cycles reference) (cycles crashy);
   Alcotest.(check bool) "fallback counted" true
-    ((Core.Engine.stats crashy).Core.Engine.vm_fallbacks >= 1)
+    ((Core.Engine.stats crashy).Core.Engine.vm_fallbacks >= 1);
+  (* In a whole search, a candidate with a planned crash never joins a
+     batched group: each one is measured on its own and degrades. *)
+  let searched = Core.Engine.create ~faults sgi in
+  ignore (Core.Eco.optimize_with ~mode:fast searched Matmul.kernel ~n:32);
+  let s = Core.Engine.stats searched in
+  Alcotest.(check int) "every fresh evaluation fell back" s.Core.Engine.fresh
+    s.Core.Engine.vm_fallbacks;
+  Alcotest.(check int) "no batched groups" 0 s.Core.Engine.batched_groups
 
 (* --- checkpointing: kill, resume, equivalence --- *)
 
@@ -219,20 +240,26 @@ let answer (r : Core.Eco.result) =
     o.Core.Search.prefetch,
     Core.Executor.cycles r.Core.Eco.measurement )
 
-let test_checkpoint_kill_resume_equivalence () =
+(* Kill/resume on engines from [make]: the plain engine, and a guarded
+   one (value-preserving plan, 3 trials) whose sweep groups are batched,
+   so the kill and the last checkpoint before it land among the commits
+   of one group. *)
+let kill_resume ~limit make =
   let file = Filename.temp_file "eco_ck" ".bin" in
   let tag = "test|matmul|n=32" in
-  (* A run killed mid-search (after 25 fresh evaluations, checkpointing
-     every 4)... *)
-  let a = Core.Engine.create sgi in
+  (* A run killed mid-search (after [limit] fresh evaluations,
+     checkpointing every 4)... *)
+  let a = make () in
   Core.Engine.set_checkpoint a ~every:4 ~tag file;
-  Core.Engine.set_eval_limit a 25;
+  Core.Engine.set_eval_limit a limit;
   (match ck_tune a with
-  | exception Core.Engine.Eval_limit_reached 25 -> ()
+  | exception Core.Engine.Eval_limit_reached l when l = limit -> ()
   | _ -> Alcotest.fail "expected the injected kill");
+  Alcotest.(check bool) "a sweep group was batched before the kill" true
+    ((Core.Engine.stats a).Core.Engine.batched_groups > 0);
   (* ...must resume from its checkpoint and finish with the exact
      answer and telemetry of an uninterrupted run. *)
-  let b = Core.Engine.create sgi in
+  let b = make () in
   Core.Engine.set_checkpoint b ~every:4 ~tag file;
   (match Core.Engine.load_checkpoint b ~tag file with
   | None -> Alcotest.fail "checkpoint did not load"
@@ -240,9 +267,9 @@ let test_checkpoint_kill_resume_equivalence () =
     Alcotest.(check bool) "resumed a nonempty memo" true
       (resume.Core.Engine.resumed_entries > 0);
     Alcotest.(check bool) "kept only complete checkpoints" true
-      (resume.Core.Engine.resumed_fresh <= 24));
+      (resume.Core.Engine.resumed_fresh < limit));
   let resumed = ck_tune b in
-  let c = Core.Engine.create sgi in
+  let c = make () in
   let uninterrupted = ck_tune c in
   Alcotest.(check bool) "resumed answer = uninterrupted answer" true
     (answer resumed = answer uninterrupted);
@@ -251,6 +278,7 @@ let test_checkpoint_kill_resume_equivalence () =
     ( s.Core.Engine.fresh,
       s.Core.Engine.pruned,
       s.Core.Engine.failed,
+      s.Core.Engine.retries,
       s.Core.Engine.simulated_cycles )
   in
   (* The resumed engine's lifetime totals (restored + finished) match
@@ -258,6 +286,14 @@ let test_checkpoint_kill_resume_equivalence () =
   Alcotest.(check bool) "telemetry adds up across the kill" true
     (totals b = totals c);
   Sys.remove file
+
+let test_checkpoint_kill_resume_equivalence () =
+  kill_resume ~limit:25 (fun () -> Core.Engine.create sgi);
+  kill_resume ~limit:29 (fun () ->
+      Core.Engine.create
+        ~faults:(Faults.make ~seed:7 ~transient:0.05 ~hang:0.02 ())
+        ~protocol:{ Core.Engine.default_protocol with trials = 3 }
+        sgi)
 
 let test_checkpoint_tag_mismatch_refuses () =
   let file = Filename.temp_file "eco_ck" ".bin" in
@@ -281,6 +317,21 @@ let test_checkpoint_corrupt_file_ignored () =
     (Core.Engine.load_checkpoint b ~tag:"t" file = None);
   Alcotest.(check bool) "missing file means a fresh start" true
     (Core.Engine.load_checkpoint b ~tag:"t" "/nonexistent/ck.bin" = None);
+  (* A real checkpoint with one payload byte flipped fails the digest
+     the writer patched in after streaming the payload. *)
+  let a = Core.Engine.create sgi in
+  Core.Engine.set_checkpoint a ~tag:"t" file;
+  ignore (ck_tune a);
+  Core.Engine.checkpoint_now a;
+  Alcotest.(check bool) "the intact checkpoint loads" true
+    (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"t" file <> None);
+  let bytes = In_channel.with_open_bin file In_channel.input_all in
+  let flipped = Bytes.of_string bytes in
+  let i = String.length bytes / 2 in
+  Bytes.set flipped i (Char.chr (Char.code bytes.[i] lxor 0x01));
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc flipped);
+  Alcotest.(check bool) "a flipped payload byte means a fresh start" true
+    (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"t" file = None);
   Sys.remove file
 
 let suite =
