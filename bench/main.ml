@@ -151,12 +151,14 @@ let emit_search_json entries =
   Format.printf "@.wrote BENCH_search.json (%d entries)@."
     (List.length entries)
 
-(* Evaluation-path benchmark: the same guided search run through the
-   bytecode fast path and through the reference closure interpreter.
-   Both engines evaluate the identical candidate sequence (results are
-   bit-identical; the [vm] test suite enforces it), so the ratio of
-   wall time spent inside evaluation is exactly the fast path's
-   speedup.  Emits BENCH_eval.json for tracking across commits. *)
+(* Evaluation-path benchmark: the per-candidate rate of the engine's
+   direct measurement ([Executor.measure]: bytecode VM plus packed
+   replay) against the exact reference ([Executor.measure_reference]:
+   the closure interpreter through the per-access sink), both timed
+   over the same programs.  Both measure bit-identical values (the
+   [vm] test suite enforces it), so the ratio of the two timings is
+   exactly the direct path's speedup.  Emits BENCH_eval.json for
+   tracking across commits. *)
 
 let eval_bench_cases =
   [
@@ -169,27 +171,56 @@ let eval_bench_cases =
 
 let eval_bench_mode = Core.Executor.Budget 200_000
 
-let eval_bench_run path kernel ~n =
-  let engine = Core.Engine.create ~path Machine.sgi_r10000 in
-  (* Baseline rows: plain per-candidate measurement.  Batching changes
-     the fresh-vs-memo accounting (grouped candidates skip the memo), so
-     leaving it on would make the fast and closures counters
-     incomparable. *)
-  Core.Engine.set_batch_replay engine false;
+(* The candidate set is the fresh points of one default guided search,
+   rebuilt with [Engine.build]: [Executor.measure] over them gives the
+   [fast_*] rows, [Executor.measure_reference] the [closures_*] rows.
+   Returns the search's stats, wall time and winner MFLOPS, then the
+   candidate count and the two timings. *)
+let eval_bench_run kernel ~n =
+  let machine = Machine.sgi_r10000 in
+  let mode = eval_bench_mode in
+  let engine = Core.Engine.create machine in
   let t0 = Unix.gettimeofday () in
-  let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
+  let r = Core.Eco.optimize_with ~mode engine kernel ~n in
   let wall = Unix.gettimeofday () -. t0 in
-  (Core.Engine.stats engine, wall, r.Core.Eco.measurement.Core.Executor.mflops)
+  let variant name =
+    List.find (fun (v : Core.Variant.t) -> v.Core.Variant.name = name)
+      r.Core.Eco.variants
+  in
+  let programs =
+    List.filter_map
+      (fun (e : Core.Search_log.entry) ->
+        Core.Engine.build engine
+          (Core.Engine.request
+             (variant e.Core.Search_log.variant)
+             ~n ~mode ~bindings:e.Core.Search_log.bindings
+             ~prefetch:e.Core.Search_log.prefetch))
+      (Core.Search_log.entries r.Core.Eco.log)
+  in
+  let time measure =
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun p -> ignore (measure p)) programs;
+    Unix.gettimeofday () -. t0
+  in
+  let fast_s = time (Core.Executor.measure machine kernel ~n ~mode) in
+  let reference_s =
+    time (Core.Executor.measure_reference machine kernel ~n ~mode)
+  in
+  ( Core.Engine.stats engine,
+    wall,
+    r.Core.Eco.measurement.Core.Executor.mflops,
+    List.length programs,
+    fast_s,
+    reference_s )
 
-(* The replay tier: fast path + default sampled simulation + batched
-   multi-plan replay + incremental prefetch re-pricing, i.e. the
+(* The replay tier: default sampled simulation + batched multi-plan
+   replay + incremental prefetch re-pricing, i.e. the
    [--sample --incremental] search.  Delivered throughput counts
    re-priced candidates alongside fresh simulations: both produce a
    scored candidate the search acts on. *)
 let eval_bench_replay kernel ~n =
-  let engine = Core.Engine.create ~path:Core.Executor.Fast Machine.sgi_r10000 in
+  let engine = Core.Engine.create Machine.sgi_r10000 in
   Core.Engine.set_sampling engine (Some Memsim.Sampling.default);
-  Core.Engine.set_batch_replay engine true;
   Core.Engine.set_incremental engine true;
   let t0 = Unix.gettimeofday () in
   let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
@@ -275,20 +306,9 @@ let emit_eval_json () =
       (fun ((kernel : Kernels.Kernel.t), n) ->
         let name = kernel.Kernels.Kernel.name in
         Format.printf "eval bench: %s n=%d...@." name n;
-        let fast, fast_wall, fast_mflops =
-          eval_bench_run Core.Executor.Fast kernel ~n
+        let fast, fast_wall, fast_mflops, evals, fast_s, reference_s =
+          eval_bench_run kernel ~n
         in
-        let slow, slow_wall, slow_mflops =
-          eval_bench_run Core.Executor.Closures kernel ~n
-        in
-        (* Identical searches: same candidates, same winner. *)
-        if fast.Core.Engine.fresh <> slow.Core.Engine.fresh then
-          Format.printf
-            "WARNING: %s paths evaluated different point counts (%d vs %d)@."
-            name fast.Core.Engine.fresh slow.Core.Engine.fresh;
-        if fast_mflops <> slow_mflops then
-          Format.printf "WARNING: %s paths disagree (%.2f vs %.2f MFLOPS)@."
-            name fast_mflops slow_mflops;
         let replay, replay_wall, replay_mflops = eval_bench_replay kernel ~n in
         let per_sec evals seconds =
           if seconds > 0.0 then float_of_int evals /. seconds else 0.0
@@ -305,19 +325,12 @@ let emit_eval_json () =
         let sweep_k, sweep_unb, sweep_rep, sweep_rep_sampled, sweep_scaling =
           sweep_microbench kernel ~n
         in
-        let speedup =
-          if fast.Core.Engine.eval_seconds > 0.0 then
-            slow.Core.Engine.eval_seconds /. fast.Core.Engine.eval_seconds
-          else 0.0
-        in
+        let speedup = if fast_s > 0.0 then reference_s /. fast_s else 0.0 in
         Format.printf
           "  fast: %d evals in %.3fs (%.0f evals/s)  closures: %.3fs \
            (%.0f evals/s)  speedup %.2fx@."
-          fast.Core.Engine.fresh fast.Core.Engine.eval_seconds
-          (per_sec fast.Core.Engine.fresh fast.Core.Engine.eval_seconds)
-          slow.Core.Engine.eval_seconds
-          (per_sec slow.Core.Engine.fresh slow.Core.Engine.eval_seconds)
-          speedup;
+          evals fast_s (per_sec evals fast_s) reference_s
+          (per_sec evals reference_s) speedup;
         Format.printf
           "  replay: %d delivered (%d fresh, %d repriced, %d sampled) in \
            %.3fs (%.0f evals/s)  %.1f MFLOPS (deg %+.2f%%)@."
@@ -359,14 +372,12 @@ let emit_eval_json () =
           (match eval_bench_mode with
           | Core.Executor.Budget b -> b
           | Core.Executor.Full -> 0)
-          fast.Core.Engine.fresh fast.Core.Engine.eval_seconds
-          (per_sec fast.Core.Engine.fresh fast.Core.Engine.eval_seconds)
-          fast_wall fast.Core.Engine.trace_hits fast.Core.Engine.trace_fills
-          slow.Core.Engine.fresh slow.Core.Engine.eval_seconds
-          (per_sec slow.Core.Engine.fresh slow.Core.Engine.eval_seconds)
-          slow_wall speedup delivered replay.Core.Engine.fresh
-          replay.Core.Engine.repriced replay.Core.Engine.sampled
-          replay.Core.Engine.batched_groups replay.Core.Engine.eval_seconds
+          evals fast_s (per_sec evals fast_s) fast_wall
+          fast.Core.Engine.trace_hits fast.Core.Engine.trace_fills evals
+          reference_s (per_sec evals reference_s) reference_s speedup
+          delivered replay.Core.Engine.fresh replay.Core.Engine.repriced
+          replay.Core.Engine.sampled replay.Core.Engine.batched_groups
+          replay.Core.Engine.eval_seconds
           replay_per_sec replay_wall replay_mflops replay_degradation sweep_k
           sweep_unb sweep_rep sweep_rep_sampled
           (if sweep_unb > 0.0 then sweep_rep /. sweep_unb else 0.0)

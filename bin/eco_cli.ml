@@ -156,13 +156,10 @@ let load_db ?(lock = false) cmd file =
             msg));
     exit 1
 
-let tune machine kernel n budget jobs objective prefilter profile closures
-    validate faults_spec trials retries checkpoint checkpoint_every die_after
-    db_file no_warm_start sample no_batch_replay incremental confirm timeout =
+let tune machine kernel n budget jobs objective prefilter profile validate
+    faults_spec trials retries checkpoint checkpoint_every die_after db_file
+    no_warm_start sample incremental confirm timeout =
   let mode = mode_of_budget budget in
-  let path =
-    if closures then Core.Executor.Closures else Core.Executor.Fast
-  in
   let faults =
     match faults_spec with
     | None -> Faults.none
@@ -177,8 +174,7 @@ let tune machine kernel n budget jobs objective prefilter profile closures
     { Core.Engine.default_protocol with trials; max_retries = retries }
   in
   let engine =
-    Core.Engine.create ~jobs ~path ~faults ~protocol ~objective ?prefilter
-      machine
+    Core.Engine.create ~jobs ~faults ~protocol ~objective ?prefilter machine
   in
   let sampling =
     match sample with
@@ -190,7 +186,6 @@ let tune machine kernel n budget jobs objective prefilter profile closures
         exit 2)
   in
   Core.Engine.set_sampling engine sampling;
-  Core.Engine.set_batch_replay engine (not no_batch_replay);
   Core.Engine.set_incremental engine incremental;
   (match confirm with
   | Some k when k < 1 ->
@@ -213,9 +208,8 @@ let tune machine kernel n budget jobs objective prefilter profile closures
        stale checkpoint from a different run cannot be resumed. *)
     let tag =
       Printf.sprintf
-        "tune|m=%s|k=%s|n=%d|b=%d|path=%s|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s"
+        "tune|m=%s|k=%s|n=%d|b=%d|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s"
         machine.Machine.name kernel.Kernels.Kernel.name n budget
-        (if closures then "closures" else "fast")
         (Faults.to_spec faults) trials retries
         (Core.Objective.to_string objective)
         (match prefilter with Some k -> string_of_int k | None -> "off")
@@ -224,11 +218,10 @@ let tune machine kernel n budget jobs objective prefilter profile closures
           | None -> "off"
           | Some _ when no_warm_start -> "exact"
           | Some _ -> "warm")
-      ^ Printf.sprintf "|sample=%s|batch=%s|incr=%s|confirm=%s"
+      ^ Printf.sprintf "|sample=%s|incr=%s|confirm=%s"
           (match sampling with
           | Some sp -> Memsim.Sampling.to_string sp
           | None -> "off")
-          (if no_batch_replay then "off" else "on")
           (if incremental then "on" else "off")
           (match confirm with
           | Some k -> string_of_int k
@@ -252,13 +245,11 @@ let tune machine kernel n budget jobs objective prefilter profile closures
   if faults.Faults.active then
     Format.printf "faults:       %s (trials=%d, retries=%d)@."
       (Faults.to_spec faults) trials retries;
-  if sampling <> None || no_batch_replay || incremental || confirm <> None then
-    Format.printf
-      "replay:       sample=%s, batching=%s, incremental=%s, confirm=%s@."
+  if sampling <> None || incremental || confirm <> None then
+    Format.printf "replay:       sample=%s, incremental=%s, confirm=%s@."
       (match sampling with
       | Some sp -> Memsim.Sampling.to_string sp
       | None -> "off")
-      (if no_batch_replay then "off" else "on")
       (if incremental then "on" else "off")
       (match confirm with
       | Some k -> string_of_int k
@@ -408,15 +399,6 @@ let tune_cmd =
              vs. execution vs. hierarchy simulation vs. memo lookups) and \
              demand-trace cache behaviour.")
   in
-  let closures_arg =
-    Arg.(
-      value & flag
-      & info [ "closures" ]
-          ~doc:
-            "Measure through the reference closure interpreter instead of \
-             the bytecode fast path (bit-identical results, slower; for \
-             benchmarking and debugging).")
-  in
   let validate_arg =
     Arg.(
       value & flag
@@ -432,7 +414,7 @@ let tune_cmd =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Inject seeded measurement faults, e.g. \
-             'seed=7,noise=0.05,transient=0.02,hang=0.01,outlier=0.01,crash=0.01'. \
+             'seed=7,noise=0.05,transient=0.02,hang=0.01,outlier=0.01'. \
              Deterministic: the same spec reproduces the same faults at \
              any --jobs.")
   in
@@ -512,22 +494,12 @@ let tune_cmd =
           ~doc:
             (Printf.sprintf
                "Sampled simulation: measure candidates from a shrunken trace \
-                via periodic replay windows and extrapolate (fast path only; \
-                estimates steer the search, the leading candidates are \
-                re-measured exactly before the winner is declared).  SPEC is \
+                via periodic replay windows and extrapolate (estimates \
+                steer the search, the leading candidates are re-measured \
+                exactly before the winner is declared).  SPEC is \
                 comma-separated $(b,shrink)/$(b,window)/$(b,gap)/$(b,warm) \
                 fields, e.g. 'shrink=4,window=8192'; $(b,--sample) alone \
                 uses %s." (Memsim.Sampling.to_string Memsim.Sampling.default)))
-  in
-  let no_batch_replay_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batch-replay" ]
-          ~doc:
-            "Disable batched multi-plan replay (prefetch sweep groups \
-             measured in one shared walk over the demand trace) and fall \
-             back to per-candidate replay — bit-identical results, more \
-             simulation work.")
   in
   let incremental_arg =
     Arg.(
@@ -569,11 +541,10 @@ let tune_cmd =
        ~doc:"Run the full two-phase ECO optimization for a kernel.")
     Term.(
       const tune $ machine_arg $ kernel_arg $ size_arg 256 $ budget_arg
-      $ jobs_arg $ objective_arg $ prefilter_arg $ profile_arg $ closures_arg
-      $ validate_arg $ faults_arg $ trials_arg $ retries_arg $ checkpoint_arg
+      $ jobs_arg $ objective_arg $ prefilter_arg $ profile_arg $ validate_arg
+      $ faults_arg $ trials_arg $ retries_arg $ checkpoint_arg
       $ checkpoint_every_arg $ die_after_arg $ db_arg $ no_warm_start_arg
-      $ sample_arg $ no_batch_replay_arg $ incremental_arg $ confirm_arg
-      $ timeout_arg)
+      $ sample_arg $ incremental_arg $ confirm_arg $ timeout_arg)
 
 (* --- check --- *)
 

@@ -70,17 +70,14 @@ EOF
 
 # --- Batched, sampled and incremental replay -----------------------------
 
-# Batched multi-plan replay is on by default and bit-identical: with
-# sampling off, disabling it (and varying the worker count) must not
-# change a byte of the answer.
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_batched.txt
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_nobatch.txt
-cmp ci_batched.txt ci_nobatch.txt
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay --jobs 3 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_nobatch3.txt
-cmp ci_batched.txt ci_nobatch3.txt
+# Batched multi-plan replay is always on; its sweep groups and their
+# commits must not depend on the worker count: the default tune at
+# --jobs 1 and --jobs 3 must agree byte for byte.
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 1 \
+  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_jobs1.txt
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 3 \
+  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_jobs3.txt
+cmp ci_jobs1.txt ci_jobs3.txt
 
 # Sampled + incremental equivalence smoke at the benchmarked operating
 # point (the default spec's shrink needs a search-scale trace to be
@@ -98,7 +95,7 @@ exact_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_exact_op.txt)
 sampled_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_sampled.txt)
 python3 -c "import sys; e, s = float(sys.argv[1]), float(sys.argv[2]); d = (e - s) / e * 100.0; print(f'sampled-vs-exact degradation {d:+.2f}%'); sys.exit(0 if d <= 2.0 else 1)" \
   "$exact_mf" "$sampled_mf"
-rm -f ci_batched.txt ci_nobatch.txt ci_nobatch3.txt ci_exact_op.txt ci_sampled.txt
+rm -f ci_jobs1.txt ci_jobs3.txt ci_exact_op.txt ci_sampled.txt
 
 # End-to-end sampled wall-time gate at a search-scale budget: with
 # shrink=4 sampling, incremental repricing and the adaptive
@@ -206,7 +203,10 @@ rm -f ci_ck.bin ci_clean.txt ci_faulty.txt ci_resumed.txt ci_resumed_full.txt
 dune exec bench/main.exe -- --faults-bench
 grep -q '"overhead_ok": true' BENCH_faults.json
 ! grep -q '"overhead_ok": false' BENCH_faults.json
-! grep -q '"winners_agree": false' BENCH_faults.json
+if grep -q '"winners_agree": false' BENCH_faults.json; then
+  echo "faults bench: a guarded search found a different winner"
+  exit 1
+fi
 
 # --- Persistent performance database -------------------------------------
 
@@ -267,7 +267,10 @@ rm -f ci_db.bin ci_db_pop.txt ci_db_pop_ans.txt ci_db_replay.txt \
 # chosen-point degradation on both kernels.
 dune exec bench/main.exe -- --db-bench
 grep -q '"warm_ok": true' BENCH_db.json
-! grep -q '"warm_ok": false' BENCH_db.json
+if grep -q '"warm_ok": false' BENCH_db.json; then
+  echo "db bench: a transfer warm-start missed its bar"
+  exit 1
+fi
 
 # --- The autotuning service (eco serve) ------------------------------
 rm -rf ci_serve && mkdir -p ci_serve

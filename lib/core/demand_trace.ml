@@ -49,14 +49,7 @@ let capture machine (kernel : Kernels.Kernel.t) ~n ~(mode : Executor.mode)
   let register_budget = Machine.available_registers machine in
   let line_elems = Machine.line_elems machine 0 in
   let vm = Ir.Vm.compile ~marks:true ~register_budget ~params program in
-  let flop_budget, warm_budget =
-    match mode with
-    | Executor.Full -> (None, None)
-    | Executor.Budget b ->
-      ( Some b,
-        if b < kernel.Kernels.Kernel.flops n then Some (max 1 (b / 2)) else None
-      )
-  in
+  let flop_budget, warm_budget = Executor.trace_budgets kernel ~n mode in
   let r = Ir.Vm.run ?flop_budget ?warm_budget vm in
   let mark_slots = Ir.Vm.mark_slots vm in
   let placements, _ =
@@ -264,8 +257,10 @@ let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
    counter states), per-plan prefetch events are computed and
    dispatched individually.  Each plan's per-event sequence is exactly
    its [synthesize] output, so counters after [Batch.sync] are
-   bit-identical to the unbatched path (the engine test suite checks
-   this). *)
+   bit-identical to the per-plan reference, [synthesize] plus
+   [Executor.measure_from_trace] (the replay test suite checks this).
+   The engine walks every candidate with a captured trace this way,
+   K = 1 included. *)
 
 (* Walk the warm-up region (marks [0, cut_marks) plus the trailing
    demand events up to [cut_events]) state-only, then settle.  Returns
@@ -273,13 +268,13 @@ let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
    stream would report as the cut: the shared demand prefix plus that
    plan's prefetch emissions over the warm marks.  Sampled measurement
    extrapolates by [Executor.suffix_factor] of exactly this count, so
-   batched and unbatched estimates stay bit-identical.
+   walked and reference estimates stay bit-identical.
 
    [?cap] (sampled mode, {!Memsim.Sampling.prefix_cap}): feed only each
    plan's trailing [cap] synthesized warm-up events to the hierarchy,
-   skipping the cold head outright — the same positions the unbatched
-   [Executor.warm_prefix] feeds, so capped batched state matches capped
-   unbatched state bit-for-bit.  The returned counts are the full cut
+   skipping the cold head outright — the same positions the reference's
+   [Executor.warm_prefix] feeds, so capped walked state matches capped
+   reference state bit-for-bit.  The returned counts are the full cut
    positions either way (the extrapolation arithmetic is about stream
    positions, not replay work). *)
 let warm_walk ?cap t b emits =
@@ -396,10 +391,11 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
   in
   let feed_prefetch i v =
     match samplers with
-    | None -> Memsim.Hierarchy.Batch.replay_one b i v
+    | None -> ignore (Memsim.Hierarchy.Batch.replay_one b i v)
     | Some ss -> (
       match Memsim.Sampling.take ss.(i) 1 with
-      | Memsim.Sampling.Measure, _ -> Memsim.Hierarchy.Batch.replay_one b i v
+      | Memsim.Sampling.Measure, _ ->
+        ignore (Memsim.Hierarchy.Batch.replay_one b i v)
       | Memsim.Sampling.Warm, _ -> Memsim.Hierarchy.Batch.warm_one b i v
       | Memsim.Sampling.Drop, _ -> ())
   in
@@ -474,7 +470,7 @@ let measure_plans ?sampling machine kernel ~n t ~plans =
    the base plan once while observing, for each varying array's
    prefetch emissions, the timeliness slack of the prefetched line's
    first demand use (how many cycles early the line arrived; negative =
-   the stall paid; [Hierarchy.replay_event_slack]), bucketed per
+   the stall paid; [Hierarchy.Batch.replay_one]), bucketed per
    varying array.  A sibling at distance [d0 + dd] on some array issues
    that array's prefetches [dd] innermost iterations earlier, so each
    of its slacks shifts by [dd * cycles-per-iteration] while the other
@@ -538,8 +534,7 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
        below: [m0]'s counters are snapshotted by [finish] before
        [measure_plans] resets the slot. *)
     let h = (Executor.pooled_hierarchies machine 1).(0) in
-    let hs = [| h |] in
-    let batch = Memsim.Hierarchy.Batch.create hs in
+    let batch = Memsim.Hierarchy.Batch.create [| h |] in
     let events = t.events and marks = t.marks in
     let n_events = Array.length events and n_marks = Array.length marks in
     let warm_counts =
@@ -560,7 +555,7 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
     let slacks = Array.make nb [] in
     let matched = Array.make nb 0 in
     let demand_slack_event v =
-      let s = Memsim.Hierarchy.replay_event_slack h v in
+      let s = Memsim.Hierarchy.Batch.replay_one batch 0 v in
       if Hashtbl.length pending > 0 && v land 3 <> Ir.Sink.tag_prefetch then begin
         let line = Memsim.Cache.line_of_addr l1 (v lsr 2) in
         match Hashtbl.find_opt pending line with
@@ -591,28 +586,24 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
               demand_slack_event (Array.unsafe_get events i)
             done
           | Memsim.Sampling.Warm ->
-            Memsim.Hierarchy.warm_packed h events ~pos:!p ~len:c
+            Memsim.Hierarchy.Batch.warm_range batch 0 events ~pos:!p ~len:c
           | Memsim.Sampling.Drop -> ());
           p := !p + c;
           remaining := !remaining - c
         done
     in
-    let track_prefetch bkt v =
-      let issued = Memsim.Hierarchy.replay_event_slack h v in
-      if issued <> Memsim.Hierarchy.no_slack then
+    let measure_prefetch bkt v =
+      let issued = Memsim.Hierarchy.Batch.replay_one batch 0 v in
+      if bkt >= 0 && issued <> Memsim.Hierarchy.no_slack then
         Hashtbl.replace pending (Memsim.Cache.line_of_addr l1 (v lsr 2)) bkt
     in
     let feed_prefetch bkt v =
       match sampler with
-      | None ->
-        if bkt >= 0 then track_prefetch bkt v
-        else Memsim.Hierarchy.replay_event h v
+      | None -> measure_prefetch bkt v
       | Some s -> (
         match Memsim.Sampling.take s 1 with
-        | Memsim.Sampling.Measure, _ ->
-          if bkt >= 0 then track_prefetch bkt v
-          else Memsim.Hierarchy.replay_event h v
-        | Memsim.Sampling.Warm, _ -> Memsim.Hierarchy.warm_event h v
+        | Memsim.Sampling.Measure, _ -> measure_prefetch bkt v
+        | Memsim.Sampling.Warm, _ -> Memsim.Hierarchy.Batch.warm_one batch 0 v
         | Memsim.Sampling.Drop, _ -> ())
     in
     let suffix = sampler <> None && t.cut_events >= 0 in
@@ -641,6 +632,7 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
     let n_matched = Array.fold_left ( + ) 0 matched in
     if n_matched = 0 then None
     else begin
+      Memsim.Hierarchy.Batch.sync batch;
       let counters = Memsim.Hierarchy.counters h in
       let raw_cycles =
         float_of_int (Memsim.Counters.accesses counters + counters.Memsim.Counters.stall_cycles)

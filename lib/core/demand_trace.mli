@@ -4,16 +4,18 @@
     candidates per variant point whose demand access streams are all
     identical — only the injected prefetch events differ.  {!capture}
     runs the prefetch-free program once through the bytecode VM with
-    iteration marks; {!synthesize} then reconstructs the exact packed
-    event stream of any prefetch plan from the recorded demand events
-    and marks, so each candidate costs one trace synthesis plus one
-    {!Memsim.Hierarchy.replay_packed} instead of a full
-    re-interpretation.
+    iteration marks; {!measure_plans} then walks the recorded demand
+    events and marks once, reconstructing and replaying every plan's
+    prefetch events inline, so a candidate costs a share of one trace
+    walk instead of a full re-interpretation.  The engine measures
+    every candidate with a captured trace this way, as a one-plan walk
+    or as a sweep group.
 
-    The synthesized stream is bit-identical to executing the
-    {!Transform.Prefetch_insert.apply}-transformed program (the [vm]
-    test suite enforces this), including the warm-up cut position of
-    budgeted measurement.  Execution statistics are unaffected by
+    {!synthesize} materializes one plan's packed event stream: the
+    reference the walk is tested against, bit-identical to executing
+    the {!Transform.Prefetch_insert.apply}-transformed program (the
+    [vm] test suite enforces this), including the warm-up cut position
+    of budgeted measurement.  Execution statistics are unaffected by
     prefetch statements, so {!stats} holds for every plan. *)
 
 type t
@@ -40,7 +42,9 @@ val words : t -> int
     stream of the program transformed by [plan] — a canonical
     (sorted-ascending) [(array, distance)] list as in
     [Engine.request.prefetch] — and returns the warm-up cut position
-    ([-1] when the captured mode needs none). *)
+    ([-1] when the captured mode needs none).  The per-plan reference
+    for {!measure_plans} (with {!Executor.measure_from_trace}); the
+    engine never calls it. *)
 val synthesize : t -> plan:(string * int) list -> into:Ir.Vm.Buf.t -> int
 
 (** Number of innermost-loop iteration records in the captured trace —
@@ -49,10 +53,10 @@ val synthesize : t -> plan:(string * int) list -> into:Ir.Vm.Buf.t -> int
 val iterations : t -> int
 
 (** [measure_plans machine kernel ~n t ~plans] measures every prefetch
-    plan of a sweep group in ONE walk over the captured trace: shared
-    demand segments are replayed through all K hierarchies per pass
-    ({!Memsim.Hierarchy.Batch.replay_all}), per-plan prefetch events are
-    synthesized and dispatched inline.  Each returned measurement is
+    plan of a sweep group (or a single plan, K = 1) in ONE walk over the
+    captured trace: shared demand segments are replayed through all K
+    hierarchies per pass ({!Memsim.Hierarchy.Batch.replay_all}),
+    per-plan prefetch events are synthesized and dispatched inline.  Each returned measurement is
     bit-identical to synthesizing that plan's stream and measuring it
     with {!Executor.measure_from_trace} (with the same [?sampling]
     spec, whose window decisions are replicated per plan). *)

@@ -76,7 +76,6 @@ type stats = {
   retries : int;
   trials_run : int;
   early_stops : int;
-  vm_fallbacks : int;
   simulated_cycles : float;
   eval_seconds : float;
   compile_seconds : float;
@@ -127,7 +126,6 @@ type memo_entry =
 type t = {
   machine : Machine.t;
   jobs : int;
-  path : Executor.path;
   faults : Faults.t;
   protocol : protocol;
   memo : (fingerprint, memo_entry) Hashtbl.t;
@@ -179,7 +177,6 @@ type t = {
   mutable retries : int;
   mutable trials_run : int;
   mutable early_stops : int;
-  mutable vm_fallbacks : int;
   mutable simulated_cycles : float;
   mutable eval_seconds : float;
   mutable compile_seconds : float;
@@ -201,15 +198,12 @@ type t = {
   mutable db_ctx : string;
   mutable db_hits : int;
   mutable warm_starts : int;
-  (* Batched / sampled / incremental replay (the three evaluator tiers
-     of DESIGN.md section 12).  [sampling] turns fast-path measurements
-     into sampled estimates; [batch_replay] lets [evaluate_batch]
-     collapse a sweep group sharing one demand trace into one
-     multi-plan walk; [incremental] additionally re-prices
-     distance-only siblings from the base plan's prefetch-timeliness
-     slacks. *)
+  (* Sampled / incremental replay (two of the three evaluator tiers of
+     DESIGN.md section 12; batched replay is always on).  [sampling]
+     turns measurements into sampled estimates; [incremental] re-prices
+     distance-only siblings of a sweep group from the base plan's
+     prefetch-timeliness slacks. *)
   mutable sampling : Memsim.Sampling.t option;
-  mutable batch_replay : bool;
   mutable incremental : bool;
   mutable sampled : int;
   mutable batched_groups : int;
@@ -231,9 +225,8 @@ let default_jobs () = Domain.recommended_domain_count ()
 let max_trace_entries = 8
 let max_trace_words = 6_000_000
 
-let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
-    ?(protocol = default_protocol) ?(objective = Objective.Cycles) ?prefilter
-    machine =
+let create ?(jobs = 1) ?(faults = Faults.none) ?(protocol = default_protocol)
+    ?(objective = Objective.Cycles) ?prefilter machine =
   let jobs = if jobs = 0 then default_jobs () else max 1 jobs in
   let prefilter =
     match prefilter with Some k when k >= 1 -> Some k | _ -> None
@@ -248,7 +241,6 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
   {
     machine;
     jobs;
-    path;
     faults;
     protocol;
     memo = Hashtbl.create 256;
@@ -279,7 +271,6 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
     retries = 0;
     trials_run = 0;
     early_stops = 0;
-    vm_fallbacks = 0;
     simulated_cycles = 0.0;
     eval_seconds = 0.0;
     compile_seconds = 0.0;
@@ -295,7 +286,6 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
     db_hits = 0;
     warm_starts = 0;
     sampling = None;
-    batch_replay = true;
     incremental = false;
     sampled = 0;
     batched_groups = 0;
@@ -310,7 +300,6 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
 
 let machine t = t.machine
 let jobs t = t.jobs
-let path t = t.path
 let faults t = t.faults
 let protocol t = t.protocol
 let objective t = t.objective
@@ -324,8 +313,6 @@ let default_prefilter = 4
 let set_objective t o = t.objective <- o
 let sampling t = t.sampling
 let set_sampling t sp = t.sampling <- sp
-let batch_replay t = t.batch_replay
-let set_batch_replay t b = t.batch_replay <- b
 let incremental t = t.incremental
 let set_incremental t b = t.incremental <- b
 
@@ -349,10 +336,6 @@ let record_rank_sample t ~kernel ~pairs ~inversions =
     Hashtbl.replace t.rank_stats kernel (p0 + pairs, i0 + inversions)
   end
 
-(* Sampling applies to fast-path measurements only: the closure path is
-   the exact differential reference and ignores it. *)
-let engine_sampling t = if t.path = Executor.Fast then t.sampling else None
-
 let set_prefilter t k =
   t.prefilter <- (match k with Some k when k >= 1 -> Some k | _ -> None)
 
@@ -373,7 +356,6 @@ let stats t =
     retries = t.retries;
     trials_run = t.trials_run;
     early_stops = t.early_stops;
-    vm_fallbacks = t.vm_fallbacks;
     simulated_cycles = t.simulated_cycles;
     eval_seconds = t.eval_seconds;
     compile_seconds = t.compile_seconds;
@@ -419,7 +401,6 @@ let pp_stats fmt (s : stats) =
       (String.concat ", "
          (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) parts)));
   if s.retries > 0 then Format.fprintf fmt ", %d retries" s.retries;
-  if s.vm_fallbacks > 0 then Format.fprintf fmt ", %d vm fallbacks" s.vm_fallbacks;
   if s.db_hits > 0 then Format.fprintf fmt ", %d db hits" s.db_hits;
   if s.warm_starts > 0 then
     Format.fprintf fmt ", %d warm-start seeds" s.warm_starts;
@@ -500,12 +481,12 @@ let fingerprint t (r : request) =
     fp_bindings = r.bindings;
     fp_prefetch = r.prefetch;
     fp_check = r.check;
-    fp_sampled = engine_sampling t <> None;
+    fp_sampled = t.sampling <> None;
   }
 
 (* Stable candidate identity for keying fault streams: the same
    candidate draws the same faults regardless of evaluation order,
-   batch membership or measurement route (direct vs demand-trace). *)
+   batch membership or measurement route (direct vs demand-trace walk). *)
 let fault_key fp =
   let kvs l =
     String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) l)
@@ -532,10 +513,8 @@ let fault_key fp =
 (* The database key is the candidate's canonical identity ([fault_key],
    which already spells out kernel/variant shape/n/mode/point) digested
    together with the measurement context: the machine, the fault plan
-   and the aggregation protocol.  The executor path is deliberately
-   excluded (Fast and Closures are bit-identical by the PR 3
-   differential tests), as is the search objective (it steers choices,
-   not measured values). *)
+   and the aggregation protocol.  The search objective is deliberately
+   excluded (it steers choices, not measured values). *)
 let db_context machine (faults : Faults.t) (p : protocol) =
   String.concat "|"
     [
@@ -678,66 +657,45 @@ let db_append t (r : request) fp (m : Executor.measurement) =
 (* --- one clean (deterministic) measurement --------------------------- *)
 
 (* The pure worker core: no engine state touched, safe on any domain.
-   Hierarchy state is created inside [Executor.measure], so concurrent
-   simulations share nothing.  [Invalid_argument] is mapped to a typed
-   reason here; any other exception escapes to [harden], which degrades
-   the fast path to the reference interpreter. *)
+   Hierarchy state comes from the per-domain pools in [Executor], so
+   concurrent simulations share nothing.  [Invalid_argument] escapes to
+   [task_of], which maps it to a typed reason. *)
 type clean =
   | Clean of Ir.Program.t * Executor.measurement
   | Clean_infeasible
   | Clean_failed of failure_reason
 
-let clean_simulate ?path ?sampling machine (r : request) =
+(* Measure a candidate with no captured demand trace: instantiate it and
+   run it through the VM. *)
+let clean_simulate ?sampling machine (r : request) =
   if r.check && not (Variant.feasible r.variant ~n:r.n r.bindings) then
     Clean_infeasible
   else
     match build_program machine r with
     | None -> Clean_failed Infeasible_instantiation
-    | Some program -> (
-      match
-        Executor.measure ?path ?sampling machine r.variant.Variant.kernel
-          ~n:r.n ~mode:r.mode program
-      with
-      | exception Invalid_argument _ -> Clean_failed Malformed_program
-      | m -> Clean (program, m))
+    | Some program ->
+      Clean
+        ( program,
+          Executor.measure ?sampling machine r.variant.Variant.kernel ~n:r.n
+            ~mode:r.mode program )
 
-(* Evaluate a prefetch candidate from a captured demand trace:
-   synthesize its packed event stream, replay it, and rebuild the
-   candidate program from the cached demand program (value-identical to
-   [build_program], since instantiation is pure).  Engine-state-free,
-   so batch workers can run it; scratch buffers are per-domain. *)
+(* Measure a prefetch candidate from its captured demand trace (found
+   by [candidate_dt], so feasible or unchecked), as a one-plan walk
+   ([Demand_trace.measure_plans]), and rebuild the candidate program
+   from the cached demand program (value-identical to [build_program],
+   since instantiation is pure). *)
 let clean_from_trace ?sampling machine dt (r : request) =
-  if r.check && not (Variant.feasible r.variant ~n:r.n r.bindings) then
-    Clean_infeasible
-  else
-    match
-      let t0 = Unix_time.now () in
-      let buf = Executor.synth_scratch () in
-      let cut = Demand_trace.synthesize dt ~plan:r.prefetch ~into:buf in
-      let synth_seconds = Unix_time.now () -. t0 in
-      let program =
-        with_prefetches machine (Demand_trace.program dt) r.prefetch
-      in
-      let m =
-        Executor.measure_from_trace ~synth_seconds ?sampling machine
-          r.variant.Variant.kernel ~n:r.n ~stats:(Demand_trace.stats dt)
-          ~events:(Ir.Vm.Buf.data buf) ~n_events:(Ir.Vm.Buf.length buf) ~cut
-      in
-      Clean (program, m)
-    with
-    | exception Invalid_argument _ -> Clean_failed Malformed_program
-    | c -> c
+  let m =
+    (Demand_trace.measure_plans ?sampling machine r.variant.Variant.kernel
+       ~n:r.n dt ~plans:[| r.prefetch |]).(0)
+  in
+  Clean (with_prefetches machine (Demand_trace.program dt) r.prefetch, m)
 
 (* --- the resilient measurement protocol ------------------------------ *)
 
 (* Per-candidate telemetry carried back to the coordinator: the workers
    stay engine-state-free. *)
-type tele = {
-  t_retries : int;
-  t_trials : int;
-  t_fallbacks : int;
-  t_early_stops : int;
-}
+type tele = { t_retries : int; t_trials : int; t_early_stops : int }
 
 type raw =
   | Measured of Ir.Program.t * Executor.measurement * tele
@@ -759,20 +717,13 @@ type raw =
 
    Pure: every random draw is keyed by [(key, trial, attempt)], so a
    candidate's outcome is identical at any [--jobs], in any evaluation
-   order and on any measurement route.  [fallbacks] is the clean
-   measurement's own degradation count, carried into the telemetry. *)
-let protect ?(trial_base = 0) ?(fallbacks = 0) ~faults ~(protocol : protocol)
-    ~key clean =
+   order and on any measurement route. *)
+let protect ?(trial_base = 0) ~faults ~(protocol : protocol) ~key clean =
   let retries = ref 0
   and trials = ref 0
   and early = ref 0 in
   let tele () =
-    {
-      t_retries = !retries;
-      t_trials = !trials;
-      t_fallbacks = fallbacks;
-      t_early_stops = !early;
-    }
+    { t_retries = !retries; t_trials = !trials; t_early_stops = !early }
   in
   match clean with
   | Clean_infeasible -> Infeasible
@@ -835,31 +786,6 @@ let protect ?(trial_base = 0) ?(fallbacks = 0) ~faults ~(protocol : protocol)
         Measured (program, m, tele ())
     end)
 
-(* One candidate measured on its own: the clean (deterministic)
-   simulation runs once; if the fast path raises — organically or by an
-   injected crash — it degrades to the [reference] closure interpreter
-   (bit-identical measurements, so results stay deterministic).  Then
-   the [protect] tail. *)
-let harden ?trial_base ~faults ~protocol ~vm ~key ~primary ~reference () =
-  let fallbacks = ref 0 in
-  let clean =
-    if vm && Faults.crashes faults ~key then begin
-      (* injected fast-path crash: degrade this candidate to the
-         reference interpreter *)
-      incr fallbacks;
-      reference ()
-    end
-    else
-      match primary () with
-      | c -> c
-      | exception Invalid_argument _ -> Clean_failed Malformed_program
-      | exception _ when vm ->
-        (* the fast path died unexpectedly: fall back and keep searching *)
-        incr fallbacks;
-        reference ()
-  in
-  protect ?trial_base ~fallbacks:!fallbacks ~faults ~protocol ~key clean
-
 (* --- demand-trace LRU ------------------------------------------------ *)
 
 let trace_key fp = { fp with fp_prefetch = []; fp_check = false }
@@ -910,7 +836,7 @@ let trace_fill t (r : request) key =
          budget ([Executor.effective_mode]); [trace_key] keeps the
          sampled flag, so sampled and exact traces never alias. *)
       Demand_trace.capture t.machine r.variant.Variant.kernel ~n:r.n
-        ~mode:(Executor.effective_mode (engine_sampling t) r.mode)
+        ~mode:(Executor.effective_mode t.sampling r.mode)
         demand
     with
     | exception Invalid_argument _ -> None
@@ -921,7 +847,7 @@ let trace_fill t (r : request) key =
 
 (* Find or capture the demand trace a prefetch candidate should replay
    against; [None] for non-prefetch candidates (and anything pruned or
-   uncapturable — they take the direct path).  Runs on the coordinator:
+   uncapturable — they are measured directly).  Runs on the coordinator:
    workers never touch the cache, they reuse the trace pinned into
    their task's closure.  Reuse counts a trace hit; the capturing
    request itself does not.
@@ -933,7 +859,7 @@ let trace_fill t (r : request) key =
    amortize it ([group_unit], the one [fill:true] caller). *)
 let candidate_dt ?(fill = true) t (r : request) fp =
   if
-    t.path = Executor.Fast && r.prefetch <> []
+    r.prefetch <> []
     && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
   then
     match trace_find t (trace_key fp) with
@@ -941,35 +867,28 @@ let candidate_dt ?(fill = true) t (r : request) fp =
     | None -> if fill then trace_fill t r (trace_key fp) else None
   else None
 
-(* Build the pure task measuring one memo miss (engine-state-free, safe
-   on any worker domain). *)
+(* Build the pure task measuring one memo miss on its own
+   (engine-state-free, safe on any worker domain): a one-plan walk over
+   [dt] when the candidate has a captured demand trace, a direct
+   measurement otherwise, then the [protect] tail.  [Invalid_argument]
+   from building or running the program is a malformed program; any
+   other exception is a bug and propagates. *)
 let task_of ?protocol ?trial_base t (r : request) fp ~dt =
   let machine = t.machine
-  and faults = t.faults in
+  and faults = t.faults
+  and sampling = t.sampling in
   let protocol = Option.value protocol ~default:t.protocol in
-  let sampling = engine_sampling t in
   let key = fault_key fp in
-  (* The fallback reference stays exact even under sampling: it is the
-     differential baseline, and a degraded candidate should return the
-     true measurement rather than a differently-seeded estimate. *)
-  let reference () = clean_simulate ~path:Executor.Closures machine r in
-  match t.path with
-  | Executor.Closures ->
-    fun () ->
-      harden ?trial_base ~faults ~protocol ~vm:false ~key ~primary:reference
-        ~reference ()
-  | Executor.Fast -> (
+  let measure =
     match dt with
-    | Some dt ->
-      fun () ->
-        harden ?trial_base ~faults ~protocol ~vm:true ~key
-          ~primary:(fun () -> clean_from_trace ?sampling machine dt r)
-          ~reference ()
-    | None ->
-      let direct () = clean_simulate ~path:Executor.Fast ?sampling machine r in
-      fun () ->
-        harden ?trial_base ~faults ~protocol ~vm:true ~key ~primary:direct
-          ~reference ())
+    | Some dt -> fun () -> clean_from_trace ?sampling machine dt r
+    | None -> fun () -> clean_simulate ?sampling machine r
+  in
+  fun () ->
+    let clean =
+      try measure () with Invalid_argument _ -> Clean_failed Malformed_program
+    in
+    protect ?trial_base ~faults ~protocol ~key clean
 
 let simulate_miss t (r : request) fp =
   (task_of t r fp ~dt:(candidate_dt ~fill:false t r fp)) ()
@@ -1010,7 +929,6 @@ type checkpoint_blob = {
   ck_retries : int;
   ck_trials_run : int;
   ck_early_stops : int;
-  ck_vm_fallbacks : int;
   ck_simulated_cycles : float;
   ck_eval_seconds : float;
   ck_compile_seconds : float;
@@ -1030,13 +948,14 @@ type checkpoint_blob = {
   ck_best : float option;
 }
 
-(* Version 5: joint-repricing and adaptive-confirmation counters plus
-   the per-kernel rank-quality table (v4 added the fingerprint sampled
-   flag and the batched/sampled/repriced counters, v3 the
-   performance-database counters, v2 the pre-filter counters).  Old
-   files fail the magic check and load as "corrupt" -- crash-only
-   semantics, the run starts fresh instead of mis-restoring counters. *)
-let checkpoint_magic = "ECO-CHECKPOINT-5\n"
+(* Version 6: the fast-path fallback counter is gone (v5 added the
+   joint-repricing and adaptive-confirmation counters plus the
+   per-kernel rank-quality table, v4 the fingerprint sampled flag and
+   the batched/sampled/repriced counters, v3 the performance-database
+   counters, v2 the pre-filter counters).  Old files fail the magic
+   check and load as "corrupt" -- crash-only semantics, the run starts
+   fresh instead of mis-restoring counters. *)
+let checkpoint_magic = "ECO-CHECKPOINT-6\n"
 
 (* Exact entries only: sampled estimates may sit below the truth, and
    the callers (checkpoint resume line, [Search]'s polish-worthiness
@@ -1077,7 +996,6 @@ let save_checkpoint t =
         ck_retries = t.retries;
         ck_trials_run = t.trials_run;
         ck_early_stops = t.early_stops;
-        ck_vm_fallbacks = t.vm_fallbacks;
         ck_simulated_cycles = t.simulated_cycles;
         ck_eval_seconds = t.eval_seconds;
         ck_compile_seconds = t.compile_seconds;
@@ -1189,7 +1107,6 @@ let load_checkpoint t ~tag file =
       t.retries <- ck.ck_retries;
       t.trials_run <- ck.ck_trials_run;
       t.early_stops <- ck.ck_early_stops;
-      t.vm_fallbacks <- ck.ck_vm_fallbacks;
       t.simulated_cycles <- ck.ck_simulated_cycles;
       t.eval_seconds <- ck.ck_eval_seconds;
       t.compile_seconds <- ck.ck_compile_seconds;
@@ -1258,7 +1175,6 @@ let after_fresh t =
 let add_tele t (tl : tele) =
   if tl.t_retries <> 0 then t.retries <- t.retries + tl.t_retries;
   if tl.t_trials <> 0 then t.trials_run <- t.trials_run + tl.t_trials;
-  if tl.t_fallbacks <> 0 then t.vm_fallbacks <- t.vm_fallbacks + tl.t_fallbacks;
   if tl.t_early_stops <> 0 then t.early_stops <- t.early_stops + tl.t_early_stops
 
 let count_failure t = function
@@ -1433,29 +1349,20 @@ let note_confirm_skipped t ?log () =
   t.confirm_skipped <- t.confirm_skipped + 1;
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
-(* Does the engine collapse sweep groups into batched multi-plan
-   replays?  On the fast path with batching on.  The measurement
-   protocol does not stand in the way: each member's clean measurement
-   from the group walk goes through the same [protect] tail as a
-   singleton's, and candidates with a planned fast-path crash are left
-   out of groups ([evaluate_batch]). *)
-let grouping_capable t = t.batch_replay && t.path = Executor.Fast
-
 (* One batched sweep group: [members] share one demand-trace key.  All
    plans are measured in a single multi-plan walk over the captured
    trace ([Demand_trace.measure_plans]); in incremental mode,
    distance-only siblings are re-priced from the base plan's slack
    samples instead ([Demand_trace.reprice_group]), and a re-priced
    member comes back as [None].  Every measured member then goes
-   through [protect], exactly as if it had been simulated on its own.
+   through [protect], exactly as if it had been measured on its own.
    The returned thunk is engine-state-free, so it can run on any worker
-   domain; if the group walk dies, every member degrades to its own
-   hardened task. *)
+   domain. *)
 let group_unit t members =
   let r0, fp0, _ = members.(0) in
   match candidate_dt t r0 fp0 with
   | None ->
-    (* trace capture failed: every member takes its own direct path *)
+    (* trace capture failed: every member is measured directly *)
     let tasks = Array.map (fun (r, fp, _) -> task_of t r fp ~dt:None) members in
     (members, ref 0, fun () -> Array.map (fun task -> Some (task ())) tasks)
   | Some dt ->
@@ -1463,15 +1370,12 @@ let group_unit t members =
     t.batched_candidates <- t.batched_candidates + Array.length members;
     let machine = t.machine
     and faults = t.faults
-    and protocol = t.protocol in
+    and protocol = t.protocol
+    and sampling = t.sampling in
     let kernel = r0.variant.Variant.kernel in
     let n = r0.n in
-    let sampling = engine_sampling t in
     let use_incremental = t.incremental && t.objective = Objective.Cycles in
     let plans = Array.map (fun ((r : request), _, _) -> r.prefetch) members in
-    let fallbacks =
-      Array.map (fun (r, fp, _) -> task_of t r fp ~dt:(Some dt)) members
-    in
     (* Written by the thunk on its worker domain, read by the
        coordinator only after [Domain.join] — no race. *)
     let joint = ref 0 in
@@ -1485,218 +1389,195 @@ let group_unit t members =
         in
         protect ~faults ~protocol ~key:(fault_key fp) clean
       in
-      match
-        if use_incremental then
-          match
+      let measured =
+        match
+          if use_incremental then
             Demand_trace.reprice_group ?sampling machine kernel ~n dt ~plans
-          with
-          | Some rp ->
-            if rp.Demand_trace.rp_joint then
-              joint := rp.Demand_trace.rp_estimated;
-            Array.mapi
-              (fun i m -> Option.map (finishing i) m)
-              rp.Demand_trace.rp_measurements
-          | None ->
-            Array.mapi
-              (fun i m -> Some (finishing i m))
-              (Demand_trace.measure_plans ?sampling machine kernel ~n dt ~plans)
-        else
-          Array.mapi
-            (fun i m -> Some (finishing i m))
+          else None
+        with
+        | Some rp ->
+          if rp.Demand_trace.rp_joint then joint := rp.Demand_trace.rp_estimated;
+          rp.Demand_trace.rp_measurements
+        | None ->
+          Array.map Option.some
             (Demand_trace.measure_plans ?sampling machine kernel ~n dt ~plans)
-      with
-      | out -> out
-      | exception _ ->
-        (* the group walk died: measure every member individually under
-           the full per-candidate protection *)
-        joint := 0;
-        Array.map (fun task -> Some (task ())) fallbacks
+      in
+      Array.mapi (fun i m -> Option.map (finishing i) m) measured
     in
     (members, joint, thunk)
 
 let evaluate_batch t ?log reqs =
   batch_boundary t;
   let reqs = List.map canonical reqs in
-  if t.jobs <= 1 && t.prefilter = None && not (grouping_capable t) then
-    (* the historical serial path, bit-for-bit *)
-    List.map (evaluate_canonical t ?log) reqs
-  else begin
-    (* Plan: classify each request as a memo hit, a duplicate of an
-       earlier slot, or a scheduled miss.  Each miss becomes a pure
-       task built by [task_of] on the coordinator.  With a pre-filter,
-       this plan path runs at any [jobs] (including 1), so the skipped
-       set — and hence every downstream number — is identical at any
-       parallelism. *)
-    let slots = Hashtbl.create 16 in
-    let t0 = Unix_time.now () in
-    let plan =
-      List.map
-        (fun r ->
-          let fp = fingerprint t r in
-          if Hashtbl.mem t.memo fp then `Hit fp
-          else
-            match Hashtbl.find_opt slots fp with
-            | Some _ -> `Dup fp
-            | None ->
-              let slot = Hashtbl.length slots in
-              Hashtbl.add slots fp slot;
-              `Run (r, fp, slot))
-        reqs
+  (* Plan: classify each request as a memo hit, a duplicate of an
+     earlier slot, or a scheduled miss.  Each miss becomes a pure
+     task built on the coordinator.  The plan runs at any [jobs]
+     (including 1), so the pre-filter's skipped set and the sweep
+     groups — and hence every downstream number — are identical at
+     any parallelism. *)
+  let slots = Hashtbl.create 16 in
+  let t0 = Unix_time.now () in
+  let plan =
+    List.map
+      (fun r ->
+        let fp = fingerprint t r in
+        if Hashtbl.mem t.memo fp then `Hit fp
+        else
+          match Hashtbl.find_opt slots fp with
+          | Some _ -> `Dup fp
+          | None ->
+            let slot = Hashtbl.length slots in
+            Hashtbl.add slots fp slot;
+            `Run (r, fp, slot))
+      reqs
+  in
+  t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
+  let run_entries =
+    List.filter_map
+      (function `Run (r, fp, slot) -> Some (r, fp, slot) | `Hit _ | `Dup _ -> None)
+      plan
+  in
+  (* Stage 1: analytically rank the feasible fresh candidates and keep
+     only the top-k for simulation.  Infeasible candidates bypass the
+     ranking — their "evaluation" is pure constraint arithmetic that
+     must still record a pruned entry.  Skipped candidates are NOT
+     memoized: a later request for the same point simulates it. *)
+  let skip = Hashtbl.create 16 in
+  (match t.prefilter with
+  | None -> ()
+  | Some k ->
+    let rankable =
+      List.filter
+        (fun ((r : request), _, _) ->
+          (not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+        run_entries
     in
-    t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
-    let run_entries =
-      List.filter_map
-        (function `Run (r, fp, slot) -> Some (r, fp, slot) | `Hit _ | `Dup _ -> None)
-        plan
-    in
-    (* Stage 1: analytically rank the feasible fresh candidates and keep
-       only the top-k for simulation.  Infeasible candidates bypass the
-       ranking — their "evaluation" is pure constraint arithmetic that
-       must still record a pruned entry.  Skipped candidates are NOT
-       memoized: a later request for the same point simulates it. *)
-    let skip = Hashtbl.create 16 in
-    (match t.prefilter with
-    | None -> ()
-    | Some k ->
-      let rankable =
-        List.filter
-          (fun ((r : request), _, _) ->
-            (not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-          run_entries
+    if List.length rankable > k then begin
+      let scored =
+        List.map (fun (r, fp, slot) -> (model_score t r, slot, fp)) rankable
       in
-      if List.length rankable > k then begin
-        let scored =
-          List.map (fun (r, fp, slot) -> (model_score t r, slot, fp)) rankable
-        in
-        let sorted =
-          List.sort
-            (fun (a, sa, _) (b, sb, _) ->
-              match compare a b with 0 -> compare sa sb | c -> c)
-            scored
-        in
-        List.iteri
-          (fun i (_, _, fp) -> if i >= k then Hashtbl.replace skip fp ())
-          sorted
-      end);
-    let executed =
-      List.filter (fun (_, fp, _) -> not (Hashtbl.mem skip fp)) run_entries
-    in
-    (* The database is consulted only AFTER the pre-filter chose its
-       skip set: served candidates are the ones the plan would have
-       simulated, so the skip set — and with it the whole search
-       trajectory — is identical to the run that populated the
-       database, and a fully-populated rerun replays with zero fresh
-       simulations.  (A skipped candidate stays skipped even when it is
-       on disk, for the same reason.)  Lookups run on the coordinator. *)
-    let served = Hashtbl.create 16 in
-    List.iter
-      (fun (r, fp, _) ->
-        match db_serve t ?log r fp with
-        | Some ev -> Hashtbl.replace served fp ev
-        | None -> ())
-      executed;
-    let executed =
-      List.filter (fun (_, fp, _) -> not (Hashtbl.mem served fp)) executed
-    in
-    (* Units: each unit measures a disjoint subset of [executed] and
-       returns one [raw option] per member ([None] = re-priced away,
-       never simulated).  Without grouping every unit is one hardened
-       task; with it, prefetch candidates sharing a demand trace form
-       one group unit measured by a single multi-plan walk, placed at
-       the first member's position. *)
-    let singleton ((r, fp, _) as e) =
-      let task = task_of t r fp ~dt:(candidate_dt ~fill:false t r fp) in
-      ([| e |], ref 0, fun () -> [| Some (task ()) |])
-    in
-    let units =
-      if not (grouping_capable t) then List.map singleton executed
-      else begin
-        let buckets = Hashtbl.create 8 in
-        let order = ref [] in
-        List.iter
-          (fun (((r : request), fp, _) as e) ->
-            (* A candidate whose fast path is planned to crash degrades
-               to the closure reference, so it is measured on its own. *)
-            let groupable =
-              r.prefetch <> []
-              && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-              && not (Faults.crashes t.faults ~key:(fault_key fp))
-            in
-            if groupable then begin
-              let key = trace_key fp in
-              match Hashtbl.find_opt buckets key with
-              | Some q -> Queue.add e q
-              | None ->
-                let q = Queue.create () in
-                Queue.add e q;
-                Hashtbl.add buckets key q;
-                order := `Group key :: !order
-            end
-            else order := `Single e :: !order)
-          executed;
-        List.map
-          (function
-            | `Single e -> singleton e
-            | `Group key ->
-              let members =
-                Array.of_seq (Queue.to_seq (Hashtbl.find buckets key))
-              in
-              if Array.length members = 1 then singleton members.(0)
-              else group_unit t members)
-          (List.rev !order)
+      let sorted =
+        List.sort
+          (fun (a, sa, _) (b, sb, _) ->
+            match compare a b with 0 -> compare sa sb | c -> c)
+          scored
+      in
+      List.iteri
+        (fun i (_, _, fp) -> if i >= k then Hashtbl.replace skip fp ())
+        sorted
+    end);
+  let executed =
+    List.filter (fun (_, fp, _) -> not (Hashtbl.mem skip fp)) run_entries
+  in
+  (* The database is consulted only AFTER the pre-filter chose its
+     skip set: served candidates are the ones the plan would have
+     simulated, so the skip set — and with it the whole search
+     trajectory — is identical to the run that populated the
+     database, and a fully-populated rerun replays with zero fresh
+     simulations.  (A skipped candidate stays skipped even when it is
+     on disk, for the same reason.)  Lookups run on the coordinator. *)
+  let served = Hashtbl.create 16 in
+  List.iter
+    (fun (r, fp, _) ->
+      match db_serve t ?log r fp with
+      | Some ev -> Hashtbl.replace served fp ev
+      | None -> ())
+    executed;
+  let executed =
+    List.filter (fun (_, fp, _) -> not (Hashtbl.mem served fp)) executed
+  in
+  (* Units: each unit measures a disjoint subset of [executed] and
+     returns one [raw option] per member ([None] = re-priced away,
+     never simulated).  Prefetch candidates sharing a demand trace
+     form one group unit measured by a single multi-plan walk, placed
+     at the first member's position; every other candidate is a
+     singleton task. *)
+  let singleton ((r, fp, _) as e) =
+    let task = task_of t r fp ~dt:(candidate_dt ~fill:false t r fp) in
+    ([| e |], ref 0, fun () -> [| Some (task ()) |])
+  in
+  let buckets = Hashtbl.create 8 in
+  let order = ref [] in
+  List.iter
+    (fun (((r : request), fp, _) as e) ->
+      let groupable =
+        r.prefetch <> []
+        && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+      in
+      if groupable then begin
+        let key = trace_key fp in
+        match Hashtbl.find_opt buckets key with
+        | Some q -> Queue.add e q
+        | None ->
+          let q = Queue.create () in
+          Queue.add e q;
+          Hashtbl.add buckets key q;
+          order := `Group key :: !order
       end
-    in
-    let units = Array.of_list units in
-    let t0 = Unix_time.now () in
-    let results = parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-    Array.iter
-      (fun (_, joint, _) -> t.repriced_joint <- t.repriced_joint + !joint)
-      units;
-    let raw_of_slot = Hashtbl.create 16 in
-    let repriced_slots = Hashtbl.create 4 in
-    Array.iteri
-      (fun u (members, _, _) ->
-        Array.iteri
-          (fun i (_, _, slot) ->
-            match results.(u).(i) with
-            | Some raw -> Hashtbl.replace raw_of_slot slot raw
-            | None -> Hashtbl.replace repriced_slots slot ())
-          members)
-      units;
-    (* Commit in request order: memo, telemetry and log end up identical
-       to a serial evaluation of the same list (a duplicate always
-       follows the slot that resolves it, so it lands as a hit — or as
-       another pre-filter skip / re-price when its slot was skipped or
-       re-priced). *)
+      else order := `Single e :: !order)
+    executed;
+  let units =
     List.map
       (function
-        | `Hit fp -> serve_hit t ?log (Hashtbl.find t.memo fp)
-        | `Dup fp -> (
-          match Hashtbl.find_opt t.memo fp with
-          | Some entry -> serve_hit t ?log entry
+        | `Single e -> singleton e
+        | `Group key ->
+          let members =
+            Array.of_seq (Queue.to_seq (Hashtbl.find buckets key))
+          in
+          if Array.length members = 1 then singleton members.(0)
+          else group_unit t members)
+      (List.rev !order)
+  in
+  let units = Array.of_list units in
+  let t0 = Unix_time.now () in
+  let results = parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units in
+  t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
+  Array.iter
+    (fun (_, joint, _) -> t.repriced_joint <- t.repriced_joint + !joint)
+    units;
+  let raw_of_slot = Hashtbl.create 16 in
+  let repriced_slots = Hashtbl.create 4 in
+  Array.iteri
+    (fun u (members, _, _) ->
+      Array.iteri
+        (fun i (_, _, slot) ->
+          match results.(u).(i) with
+          | Some raw -> Hashtbl.replace raw_of_slot slot raw
+          | None -> Hashtbl.replace repriced_slots slot ())
+        members)
+    units;
+  (* Commit in request order: memo, telemetry and log end up identical
+     to a serial evaluation of the same list (a duplicate always
+     follows the slot that resolves it, so it lands as a hit — or as
+     another pre-filter skip / re-price when its slot was skipped or
+     re-priced). *)
+  List.map
+    (function
+      | `Hit fp -> serve_hit t ?log (Hashtbl.find t.memo fp)
+      | `Dup fp -> (
+        match Hashtbl.find_opt t.memo fp with
+        | Some entry -> serve_hit t ?log entry
+        | None ->
+          (match Hashtbl.find_opt slots fp with
+          | Some slot when Hashtbl.mem repriced_slots slot ->
+            note_repriced t ?log ()
+          | _ -> note_prefiltered t ?log ());
+          None)
+      | `Run (r, fp, slot) ->
+        if Hashtbl.mem skip fp then begin
+          note_prefiltered t ?log ();
+          None
+        end
+        else (
+          match Hashtbl.find_opt served fp with
+          | Some ev -> Some ev
           | None ->
-            (match Hashtbl.find_opt slots fp with
-            | Some slot when Hashtbl.mem repriced_slots slot ->
-              note_repriced t ?log ()
-            | _ -> note_prefiltered t ?log ());
-            None)
-        | `Run (r, fp, slot) ->
-          if Hashtbl.mem skip fp then begin
-            note_prefiltered t ?log ();
-            None
-          end
-          else (
-            match Hashtbl.find_opt served fp with
-            | Some ev -> Some ev
-            | None ->
-              if Hashtbl.mem repriced_slots slot then begin
-                note_repriced t ?log ();
-                None
-              end
-              else commit t ?log r fp (Hashtbl.find raw_of_slot slot)))
-      plan
-  end
+            if Hashtbl.mem repriced_slots slot then begin
+              note_repriced t ?log ();
+              None
+            end
+            else commit t ?log r fp (Hashtbl.find raw_of_slot slot)))
+    plan
 
 let program_fingerprint kernel ~n ~mode shape =
   {
@@ -1725,7 +1606,7 @@ let measure_program t ?key kernel ~n ~mode program =
   in
   let run () =
     let t0 = Unix_time.now () in
-    let m = Executor.measure ~path:t.path t.machine kernel ~n ~mode program in
+    let m = Executor.measure t.machine kernel ~n ~mode program in
     t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
     t.fresh <- t.fresh + 1;
     t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;

@@ -14,8 +14,13 @@
       cached too, so constraint pruning is paid once per point — and so
       are failed points, with their typed {!failure_reason}, so a
       quarantined candidate is never re-measured.
+    - {b One measurement route per candidate} — a candidate whose
+      demand trace is captured is walked by
+      {!Demand_trace.measure_plans}, alone or with the rest of its
+      sweep group; every other candidate goes through
+      {!Executor.measure}.
     - {b Parallelism} — [evaluate_batch] runs memo misses on a pool of
-      [jobs] domains (hierarchy state is created per evaluation, so
+      [jobs] domains (hierarchy state comes from per-domain pools, so
       workers share nothing).  Results are committed to the memo table,
       telemetry and the {!Search_log} in request order, so a batch
       produces bit-for-bit the same state at any [jobs]; [jobs = 1]
@@ -24,20 +29,20 @@
       each candidate is measured under a resilient protocol: repeated
       trials aggregated by median/trimmed mean with adaptive early
       stop, bounded retry on transient failures and hangs, a
-      deterministic simulated-cycle deadline, quarantine when the
-      retry budget is exhausted, and graceful
-      degradation from the [Fast] VM path to the [Closures] reference
-      interpreter when the fast path dies.  Every fault draw is keyed
-      by the candidate fingerprint, so results stay bit-identical at
-      any [jobs].
+      deterministic simulated-cycle deadline, and quarantine when the
+      retry budget is exhausted.  Every fault draw is keyed by the
+      candidate fingerprint, so results stay bit-identical at any
+      [jobs].  A measurement that raises [Invalid_argument] fails as
+      {!Malformed_program}; any other exception is a bug and
+      propagates.
     - {b Crash-only persistence} — {!set_checkpoint} periodically
       persists the memo table and telemetry; {!load_checkpoint}
       restores them, after which a deterministic search replays to the
       identical final answer.
     - {b Telemetry} — per-engine counters (memo hits, fresh
       simulations, constraint-pruned candidates, typed failure
-      breakdown, retries, fallbacks, simulated cycles, wall seconds
-      inside evaluation) and per-search counters via the log.
+      breakdown, retries, simulated cycles, wall seconds inside
+      evaluation) and per-search counters via the log.
 
     An engine is bound to one machine model.  It is not itself
     thread-safe: call it from one coordinating domain and let it spread
@@ -91,24 +96,20 @@ type protocol = {
     clock bound is {!set_deadline}. *)
 val default_protocol : protocol
 
-(** [create ?jobs ?path ?faults ?protocol machine] makes an engine for
+(** [create ?jobs ?faults ?protocol machine] makes an engine for
     [machine].  [jobs] defaults to 1 (serial, deterministic evaluation
-    order); [0] selects {!default_jobs}.  [path] selects the measurement
-    pipeline ({!Executor.Fast} bytecode + batched replay + demand-trace
-    reuse by default; {!Executor.Closures} forces the reference
-    interpreter — bit-identical results, used as the benchmark
-    baseline).  [faults] (default {!Faults.none}) injects seeded
-    measurement faults; [protocol] (default {!default_protocol})
-    configures the resilient measurement protocol.  With the defaults —
-    no active fault plan and [trials = 1] — measurements are bit-for-bit
-    what they were without the robustness layer.
+    order); [0] selects {!default_jobs}.  [faults] (default
+    {!Faults.none}) injects seeded measurement faults; [protocol]
+    (default {!default_protocol}) configures the resilient measurement
+    protocol.  With the defaults — no active fault plan and
+    [trials = 1] — measurements are bit-for-bit what they were without
+    the robustness layer.
 
     [objective] (default [Objective.Cycles]) is what pre-filter ranking
     minimizes; [prefilter] (default off; values < 1 disable) arms the
     two-stage batch evaluation described at {!set_prefilter}. *)
 val create :
   ?jobs:int ->
-  ?path:Executor.path ->
   ?faults:Faults.t ->
   ?protocol:protocol ->
   ?objective:Objective.t ->
@@ -121,7 +122,6 @@ val default_jobs : unit -> int
 
 val machine : t -> Machine.t
 val jobs : t -> int
-val path : t -> Executor.path
 val faults : t -> Faults.t
 val protocol : t -> protocol
 val objective : t -> Objective.t
@@ -147,25 +147,23 @@ val set_prefilter : t -> int option -> unit
 
 (** {2 Batched, sampled and incremental replay}
 
-    Three evaluator tiers stacked on the fast path (DESIGN.md, "Three
-    replay tiers"):
+    Three evaluator tiers (DESIGN.md, "Three replay tiers"):
 
-    - {b Batched multi-plan replay} (on by default): within an
+    - {b Batched multi-plan replay} (always on): within an
       {!evaluate_batch}, prefetch candidates that share one captured
       demand trace (a distance sweep over one variant point) are
       measured in ONE walk over the trace
       ({!Demand_trace.measure_plans}), so the shared demand stream is
       decoded once instead of once per plan.  Each measurement is
-      bit-identical to the unbatched path.
+      bit-identical to measuring the candidate on its own.
     - {b Sampled simulation} (off by default): with a
-      {!Memsim.Sampling.t} spec, fast-path measurements become sampled
+      {!Memsim.Sampling.t} spec, measurements become sampled
       estimates — the trace is generated at a budget shrunken by
       [spec.shrink] and only the sampler's periodic windows are
       replayed with full accounting, counters extrapolated back up.
       Estimates are memoized under a fingerprint carrying a sampled
       flag, never satisfy an exact lookup, and never enter the
-      performance database.  The closure path and {!measure_program}
-      stay exact.
+      performance database.  {!measure_program} stays exact.
     - {b Incremental re-simulation} (off by default): when the sweep
       group's plans all bind the same arrays and differ only in
       prefetch distances (any subset of the arrays may vary), the base
@@ -178,18 +176,14 @@ val set_prefilter : t -> int option -> unit
       {!Search_log.note_repriced}) and are {e not} memoized — like
       pre-filter skips, a later request can still measure them.
 
-    Batching engages whenever the engine is on the [Fast] path, fault
-    plan and trials included: the group walk yields each member's clean
-    measurement, and the protocol (cycle cap, seeded trial draws,
-    retries, quarantine, aggregation) then applies to each member
-    exactly as to a candidate measured alone.  With batching disabled
-    and no sampling spec, evaluation is byte-for-byte the historical
-    behaviour. *)
+    Batching engages under any fault plan and trial count: the group
+    walk yields each member's clean measurement, and the protocol
+    (cycle cap, seeded trial draws, retries, quarantine, aggregation)
+    then applies to each member exactly as to a candidate measured
+    alone. *)
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
-val batch_replay : t -> bool
-val set_batch_replay : t -> bool -> unit
 val incremental : t -> bool
 val set_incremental : t -> bool -> unit
 
@@ -233,16 +227,6 @@ val note_confirm_skipped : t -> ?log:Search_log.t -> unit -> unit
     [Search] uses it to decide whether a confirmed winner is close
     enough to the global floor to be worth exact polishing. *)
 val best_cycles : t -> float option
-
-(** Will {!evaluate_batch} collapse sweep groups into batched
-    multi-plan replays under the current configuration?  True on the
-    [Fast] path with batching enabled, whatever the fault plan and
-    protocol: the protocol applies per member after the group walk.
-    Candidates with a planned fast-path crash ({!Faults.crashes}) are
-    still measured on their own, so they degrade to the closure
-    reference.  Searches consult this to decide when a speculative
-    distance pre-batch is worthwhile. *)
-val grouping_capable : t -> bool
 
 (** {2 Persistent performance database}
 
@@ -410,7 +394,7 @@ type resume = {
 (** [set_checkpoint t ~tag file] arms periodic checkpointing: the engine
     rewrites [file] after every [every] (default 16) fresh evaluations.
     [tag] should encode everything that determines the run's answer
-    (machine, kernel, n, budget, path, faults, protocol); it is embedded
+    (machine, kernel, n, budget, faults, protocol); it is embedded
     in the file and verified on load. *)
 val set_checkpoint : t -> ?every:int -> tag:string -> string -> unit
 
@@ -484,16 +468,14 @@ type stats = {
   retries : int;  (** protocol retries across all candidates *)
   trials_run : int;  (** successful trials across all candidates *)
   early_stops : int;  (** candidates whose trials stopped early *)
-  vm_fallbacks : int;  (** Fast-path crashes degraded to [Closures] *)
   simulated_cycles : float;  (** total cycles across fresh measurements *)
   eval_seconds : float;  (** wall time spent inside evaluation *)
-  compile_seconds : float;  (** bytecode compilation (Fast path) *)
-  exec_seconds : float;
-      (** program execution / trace generation (everything, on the
-          closure path) *)
-  sim_seconds : float;  (** hierarchy simulation (batched replay) *)
+  compile_seconds : float;  (** bytecode compilation *)
+  exec_seconds : float;  (** program execution / trace generation *)
+  sim_seconds : float;  (** hierarchy simulation (replay) *)
   memo_seconds : float;  (** memo-table lookups *)
-  trace_hits : int;  (** candidates served by demand-trace synthesis *)
+  trace_hits : int;
+      (** candidates (or sweep groups) served by a cached demand trace *)
   trace_fills : int;  (** demand traces captured *)
   fill_seconds : float;
       (** coordinator-side wall time spent capturing demand traces
@@ -520,7 +502,7 @@ val stats : t -> stats
 val failure_breakdown : stats -> (string * int) list
 
 (** The headline telemetry line ([eco tune]'s [engine:] line); appends
-    the failure breakdown, retry and fallback counts when nonzero. *)
+    the failure breakdown and retry count when nonzero. *)
 val pp_stats : Format.formatter -> stats -> unit
 
 (** The [--profile] wall-time breakdown: where evaluation time went

@@ -2,7 +2,15 @@ type mode = Full | Budget of int
 
 let default_budget = Budget 4_000_000
 
-type path = Fast | Closures
+(* The flop budget a mode traces to, and the warm-up pass run first
+   when that budget stops short of the full problem: half the budget,
+   whose counters are discarded, so compulsory misses of the sampled
+   prefix do not masquerade as steady-state behaviour. *)
+let trace_budgets (kernel : Kernels.Kernel.t) ~n = function
+  | Full -> (None, None)
+  | Budget b ->
+    ( Some b,
+      if b < kernel.Kernels.Kernel.flops n then Some (max 1 (b / 2)) else None )
 
 type timings = { compile_s : float; exec_s : float; sim_s : float }
 
@@ -23,13 +31,6 @@ type measurement = {
 let buffers : (Ir.Vm.Buf.t * Ir.Vm.Buf.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       (Ir.Vm.Buf.create ~capacity:(1 lsl 16) (), Ir.Vm.Buf.create ~capacity:4096 ()))
-
-(* A separate pooled buffer for synthesized streams, so synthesis can
-   run while the captured demand buffers stay borrowed elsewhere. *)
-let synth_buffer : Ir.Vm.Buf.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Ir.Vm.Buf.create ~capacity:(1 lsl 16) ())
-
-let synth_scratch () = Domain.DLS.get synth_buffer
 
 (* Per-domain hierarchy pool: a simulated hierarchy of the paper's
    primary machine is ~1MB of tag/stamp/fill arrays, and a search takes
@@ -85,27 +86,22 @@ let finish machine (kernel : Kernels.Kernel.t) ~n ~counters ~stats ~timings =
     timings;
   }
 
-let measure_closures machine (kernel : Kernels.Kernel.t) ~n ~mode program =
+(* The reference: the closure interpreter streams every access through
+   [Hierarchy.sink], running the warm-up pass as a separate execution.
+   Addresses are deterministic across runs, so the cache contents carry
+   over into the measured run. *)
+let measure_reference machine (kernel : Kernels.Kernel.t) ~n ~mode program =
   let t0 = Unix_time.now () in
   let hierarchy = Memsim.Hierarchy.create machine in
   let params = [ (kernel.Kernels.Kernel.size_param, n) ] in
   let register_budget = Machine.available_registers machine in
   let sink = Memsim.Hierarchy.sink hierarchy in
-  let flop_budget = match mode with Full -> None | Budget b -> Some b in
-  (* In budget (sampled) mode, run a short warm-up pass first and discard
-     its counters, so compulsory misses of the sampled prefix do not
-     masquerade as steady-state behaviour.  Addresses are deterministic
-     across runs, so the cache contents carry over. *)
-  (match mode with
-  | Full -> ()
-  | Budget b ->
-    let total = kernel.Kernels.Kernel.flops n in
-    if b < total then begin
-      ignore
-        (Ir.Exec.run ~sink ~flop_budget:(max 1 (b / 2)) ~register_budget ~params
-           program);
-      Memsim.Hierarchy.reset_counters hierarchy
-    end);
+  let flop_budget, warm_budget = trace_budgets kernel ~n mode in
+  (match warm_budget with
+  | Some w ->
+    ignore (Ir.Exec.run ~sink ~flop_budget:w ~register_budget ~params program);
+    Memsim.Hierarchy.reset_counters hierarchy
+  | None -> ());
   let result =
     Ir.Exec.run ~sink ?flop_budget ~register_budget ~params program
   in
@@ -113,12 +109,6 @@ let measure_closures machine (kernel : Kernels.Kernel.t) ~n ~mode program =
   let timings = { no_timings with exec_s = Unix_time.now () -. t0 } in
   finish machine kernel ~n ~counters ~stats:result.Ir.Exec.stats ~timings
 
-(* The fast path: compile the program once to bytecode, run it once
-   (recording the warm-up cut position when sampling), then feed the
-   packed event buffer to the hierarchy in one batched replay.  The
-   closure path runs the program twice in budget mode; one VM run plus
-   a prefix replay is equivalent because addresses are deterministic —
-   the [vm] differential suite checks counters stay bit-identical. *)
 (* Shrink the flop budget for a sampled measurement: the flop-scale
    extrapolation in [finish] recovers full-run magnitudes from the
    shorter trace, so sampling shortens both trace generation and
@@ -175,8 +165,13 @@ let replay_measured ?sampling hierarchy events ~cut ~n_events =
       (Memsim.Sampling.factor sampler
       *. suffix_factor ~warm:start ~fed:(n_events - start))
 
-let measure_fast ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program
-    =
+(* Compile the program once to bytecode, run it once (recording the
+   warm-up cut position), then feed the packed event buffer to the
+   hierarchy in one tight replay.  The reference runs the program twice
+   in budget mode; one VM run plus a prefix replay is equivalent
+   because addresses are deterministic — the [vm] differential suite
+   checks counters stay bit-identical. *)
+let measure ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program =
   let t0 = Unix_time.now () in
   let params = [ (kernel.Kernels.Kernel.size_param, n) ] in
   let register_budget = Machine.available_registers machine in
@@ -184,12 +179,7 @@ let measure_fast ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program
   let t1 = Unix_time.now () in
   let events, marks = Domain.DLS.get buffers in
   let flop_budget, warm_budget =
-    match effective_mode sampling mode with
-    | Full -> (None, None)
-    | Budget b ->
-      ( Some b,
-        if b < kernel.Kernels.Kernel.flops n then Some (max 1 (b / 2)) else None
-      )
+    trace_budgets kernel ~n (effective_mode sampling mode)
   in
   let r = Ir.Vm.run ?flop_budget ?warm_budget ~events ~marks vm in
   let t2 = Unix_time.now () in
@@ -205,28 +195,13 @@ let measure_fast ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program
     ~counters:(Memsim.Hierarchy.counters hierarchy)
     ~stats:r.Ir.Vm.stats ~timings
 
-let measure ?(path = Fast) ?sampling machine kernel ~n ~mode program =
-  match path with
-  | Closures ->
-    (* The reference interpreter stays exact: sampling is a fast-path
-       optimization, and the differential suites compare against this
-       path. *)
-    measure_closures machine kernel ~n ~mode program
-  | Fast -> measure_fast ?sampling machine kernel ~n ~mode program
-
-let measure_from_trace ?(synth_seconds = 0.0) ?sampling machine kernel ~n
-    ~stats ~events ~n_events ~cut =
+let measure_from_trace ?sampling machine kernel ~n ~stats ~events ~n_events
+    ~cut =
   let t0 = Unix_time.now () in
   let hierarchy = pooled_hierarchy machine in
   warm_prefix ?sampling hierarchy events ~cut;
   replay_measured ?sampling hierarchy events ~cut ~n_events;
-  let timings =
-    {
-      compile_s = 0.0;
-      exec_s = synth_seconds;
-      sim_s = Unix_time.now () -. t0;
-    }
-  in
+  let timings = { no_timings with sim_s = Unix_time.now () -. t0 } in
   finish machine kernel ~n
     ~counters:(Memsim.Hierarchy.counters hierarchy)
     ~stats ~timings

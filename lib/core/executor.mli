@@ -6,13 +6,13 @@
     full problem — the sampled-simulation substitute for wall-clock
     timing on real hardware (see DESIGN.md).
 
-    Two paths: [Fast] (the default) compiles the program once to
-    {!Ir.Vm} bytecode, records the packed event stream and feeds it to
-    {!Memsim.Hierarchy.replay_packed} in one batched loop; [Closures]
-    is the original execution-driven pipeline through the reference
-    interpreter.  Both produce bit-identical measurements (enforced by
-    the differential test suite); [Closures] exists as the reference
-    and as the baseline of the evaluation benchmark. *)
+    {!measure} compiles the program once to {!Ir.Vm} bytecode, records
+    the packed event stream and feeds it to
+    {!Memsim.Hierarchy.replay_packed} in one tight loop.
+    {!measure_reference} is the original execution-driven pipeline
+    through the closure interpreter ({!Ir.Exec}): bit-identical
+    measurements (enforced by the differential test suite), kept as the
+    exact oracle for the tests and the evaluation benchmark. *)
 
 type mode = Full | Budget of int
 
@@ -20,10 +20,17 @@ type mode = Full | Budget of int
     simulated accesses per candidate). *)
 val default_budget : mode
 
-type path = Fast | Closures
+(** [trace_budgets kernel ~n mode] is [(flop_budget, warm_budget)]:
+    the flops a measurement of [mode] traces ([None] = the whole
+    problem), and the warm-up pass run first and discarded when that
+    budget stops short of the full problem ([max 1 (b / 2)] flops;
+    [None] otherwise).  Every trace producer ({!measure},
+    {!measure_reference}, [Demand_trace.capture]) derives its budgets
+    here. *)
+val trace_budgets : Kernels.Kernel.t -> n:int -> mode -> int option * int option
 
 (** Wall-time breakdown of one measurement (all zero where a stage does
-    not apply; the closure path books everything under [exec_s]). *)
+    not apply; the reference books everything under [exec_s]). *)
 type timings = { compile_s : float; exec_s : float; sim_s : float }
 
 type measurement = {
@@ -35,22 +42,19 @@ type measurement = {
   timings : timings;
 }
 
-(** [measure ?path machine kernel ~n ~mode program] runs [program] (an
+(** [measure machine kernel ~n ~mode program] runs [program] (an
     instantiated variant of [kernel]) with the kernel's size parameter
-    bound to [n], streaming accesses through a fresh hierarchy of
-    [machine], spilling registers beyond the machine's available
+    bound to [n], streaming accesses through a freshly reset hierarchy
+    of [machine], spilling registers beyond the machine's available
     register file.
 
-    With [?sampling], the fast path measures a sampled estimate: the
-    flop budget is divided by the spec's [shrink] before tracing, only
-    the sampler's periodic windows of the replay are accounted, and the
-    counters are extrapolated back up ({!Memsim.Sampling}).  The
-    closure path ignores [?sampling] and stays exact (it is the
-    differential reference).
+    With [?sampling], it measures a sampled estimate: the flop budget
+    is divided by the spec's [shrink] before tracing, only the
+    sampler's periodic windows of the replay are accounted, and the
+    counters are extrapolated back up ({!Memsim.Sampling}).
 
     @raise Invalid_argument if the program is malformed. *)
 val measure :
-  ?path:path ->
   ?sampling:Memsim.Sampling.t ->
   Machine.t ->
   Kernels.Kernel.t ->
@@ -59,17 +63,29 @@ val measure :
   Ir.Program.t ->
   measurement
 
+(** The exact, unsampled oracle: [measure] through the closure
+    interpreter, every access dispatched through
+    {!Memsim.Hierarchy.sink} of a fresh hierarchy and the warm-up pass
+    run as a separate execution.  Bit-identical to {!measure} without
+    sampling (the [vm] differential suite checks it) and several times
+    slower; the engine never calls it.
+    @raise Invalid_argument if the program is malformed. *)
+val measure_reference :
+  Machine.t -> Kernels.Kernel.t -> n:int -> mode:mode -> Ir.Program.t ->
+  measurement
+
 (** [measure_from_trace machine kernel ~n ~stats ~events ~n_events ~cut]
     measures a candidate whose packed event stream is already known
-    (synthesized by [Demand_trace]): replays [events.(0 .. cut-1)] as
-    the warm-up pass when [cut >= 0], resets counters, then replays the
-    full stream.  [stats] are the execution statistics of the trace's
-    program; [synth_seconds] is booked into [timings.exec_s].
-    [?sampling] replays only the sampler's windows and extrapolates, as
-    in {!measure} (the trace must then have been generated at the
-    spec's shrunken budget for the estimate to line up). *)
+    (synthesized by {!Demand_trace.synthesize}): replays
+    [events.(0 .. cut-1)] as the warm-up pass when [cut >= 0], resets
+    counters, then replays the full stream.  [stats] are the execution
+    statistics of the trace's program.  [?sampling] replays only the
+    sampler's windows and extrapolates, as in {!measure} (the trace
+    must then have been generated at the spec's shrunken budget for the
+    estimate to line up).  The per-plan reference that
+    [Demand_trace.measure_plans] is tested against; the engine never
+    calls it. *)
 val measure_from_trace :
-  ?synth_seconds:float ->
   ?sampling:Memsim.Sampling.t ->
   Machine.t ->
   Kernels.Kernel.t ->
@@ -82,8 +98,8 @@ val measure_from_trace :
 
 (** Assemble a measurement from replayed counters and executor stats —
     the cost arithmetic plus flop-scale extrapolation that ends every
-    measure function above, exposed for the batched multi-plan replay
-    in {!Demand_trace}. *)
+    measure function above, exposed for the multi-plan replay in
+    {!Demand_trace}. *)
 val finish :
   Machine.t ->
   Kernels.Kernel.t ->
@@ -97,11 +113,6 @@ val finish :
     divided by the spec's [shrink] (identity without sampling or in
     [Full] mode). *)
 val effective_mode : Memsim.Sampling.t option -> mode -> mode
-
-(** A pooled per-domain scratch buffer for trace synthesis (cleared by
-    the synthesizer; contents are only valid until the next evaluation
-    on the same domain). *)
-val synth_scratch : unit -> Ir.Vm.Buf.t
 
 (** [pooled_hierarchies machine k] returns [k] freshly-reset simulated
     hierarchies of [machine] from the per-domain pool (a hierarchy is

@@ -250,21 +250,19 @@ let prefetch_search st ~bindings current_cycles =
     let candidates = Transform.Prefetch_insert.candidates program in
     List.fold_left
       (fun (chosen, best_c) array ->
-        (* When the engine groups sweeps, speculatively measure the
-           array's whole distance ladder as ONE batch: the candidates
-           share this point's demand trace, so the engine collapses them
-           into a single multi-plan walk and the serial descent below
-           runs entirely on memo hits.  The descent's decisions — and
-           hence the chosen plan — are untouched; without grouping, the
-           search is byte-identical to the historical one. *)
-        if Engine.grouping_capable st.engine then
-          ignore
-            (Engine.evaluate_batch st.engine ?log:st.log
-               (List.map
-                  (fun d ->
-                    request st ~bindings
-                      ~prefetch:(List.sort compare ((array, d) :: chosen)))
-                  [ 1; 2; 4; 8; 16; 32 ]));
+        (* Speculatively measure the array's whole distance ladder as
+           ONE batch: the candidates share this point's demand trace, so
+           the engine collapses them into a single multi-plan walk and
+           the serial descent below runs entirely on memo hits.  The
+           descent's decisions — and hence the chosen plan — are
+           untouched. *)
+        ignore
+          (Engine.evaluate_batch st.engine ?log:st.log
+             (List.map
+                (fun d ->
+                  request st ~bindings
+                    ~prefetch:(List.sort compare ((array, d) :: chosen)))
+                [ 1; 2; 4; 8; 16; 32 ]));
         let try_distance d = evaluate st ~bindings ~prefetch:((array, d) :: chosen) in
         match try_distance 1 with
         | Some c1 when c1 < best_c ->

@@ -6,7 +6,6 @@ type t = {
   hang : float;
   outlier : float;
   outlier_factor : float;
-  crash : float;
 }
 
 let none =
@@ -18,7 +17,6 @@ let none =
     hang = 0.0;
     outlier = 0.0;
     outlier_factor = 25.0;
-    crash = 0.0;
   }
 
 let check_rate name v =
@@ -26,18 +24,17 @@ let check_rate name v =
     invalid_arg (Printf.sprintf "Faults: %s must be in [0,1] (got %g)" name v)
 
 let make ?(seed = 1) ?(noise = 0.0) ?(transient = 0.0) ?(hang = 0.0)
-    ?(outlier = 0.0) ?(outlier_factor = 25.0) ?(crash = 0.0) () =
+    ?(outlier = 0.0) ?(outlier_factor = 25.0) () =
   if not (noise >= 0.0) then
     invalid_arg (Printf.sprintf "Faults: noise must be >= 0 (got %g)" noise);
   check_rate "transient" transient;
   check_rate "hang" hang;
   check_rate "outlier" outlier;
-  check_rate "crash" crash;
   if not (outlier_factor >= 1.0) then
     invalid_arg
       (Printf.sprintf "Faults: outlier_factor must be >= 1 (got %g)"
          outlier_factor);
-  { active = true; seed; noise; transient; hang; outlier; outlier_factor; crash }
+  { active = true; seed; noise; transient; hang; outlier; outlier_factor }
 
 let of_spec s =
   let fields =
@@ -79,17 +76,16 @@ let of_spec s =
           | "hang" -> { t with hang = num () }
           | "outlier" -> { t with outlier = num () }
           | "outlier_factor" -> { t with outlier_factor = num () }
-          | "crash" -> { t with crash = num () }
           | _ ->
             invalid_arg
               (Printf.sprintf
                  "Faults.of_spec: unknown key %S (known: seed, noise, \
-                  transient, hang, outlier, outlier_factor, crash)"
+                  transient, hang, outlier, outlier_factor)"
                  key)
         in
         (* revalidate through [make] so specs and code share the checks *)
         make ~seed:t.seed ~noise:t.noise ~transient:t.transient ~hang:t.hang
-          ~outlier:t.outlier ~outlier_factor:t.outlier_factor ~crash:t.crash ())
+          ~outlier:t.outlier ~outlier_factor:t.outlier_factor ())
     none fields
 
 let to_spec t =
@@ -102,10 +98,9 @@ let to_spec t =
            (f "transient" t.transient
               (f "hang" t.hang
                  (f "outlier" t.outlier
-                    ((if t.outlier <> 0.0 && t.outlier_factor <> 25.0 then
-                        [ Printf.sprintf "outlier_factor=%g" t.outlier_factor ]
-                      else [])
-                    @ f "crash" t.crash [])))))
+                    (if t.outlier <> 0.0 && t.outlier_factor <> 25.0 then
+                       [ Printf.sprintf "outlier_factor=%g" t.outlier_factor ]
+                     else [])))))
 
 let noisy t = t.active && (t.noise > 0.0 || t.outlier > 0.0)
 
@@ -113,9 +108,8 @@ let pp fmt t =
   if not t.active then Format.pp_print_string fmt "no faults"
   else
     Format.fprintf fmt
-      "faults(seed=%d, noise=%g, transient=%g, hang=%g, outlier=%g x%g, \
-       crash=%g)"
-      t.seed t.noise t.transient t.hang t.outlier t.outlier_factor t.crash
+      "faults(seed=%d, noise=%g, transient=%g, hang=%g, outlier=%g x%g)"
+      t.seed t.noise t.transient t.hang t.outlier t.outlier_factor
 
 (* --- keyed splitmix64 streams --------------------------------------- *)
 
@@ -181,10 +175,6 @@ let draw t ~key ~trial ~attempt =
     else if t.noise > 0.0 then Sample (exp (t.noise *. gauss r))
     else Sample 1.0
   end
-
-let crashes t ~key =
-  t.active && t.crash > 0.0
-  && uniform (of_parts [ t.seed; hash_string key; 1; 0; 0 ]) < t.crash
 
 (* --- service-level fault plans --------------------------------------- *)
 

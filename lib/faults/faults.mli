@@ -3,7 +3,7 @@
 
     The paper's premise is that every surviving candidate is actually
     executed and timed on the target machine — and real machines are
-    hostile: timings are noisy, runs crash or hang, and measurements are
+    hostile: timings are noisy, runs fail or hang, and measurements are
     occasionally corrupted outright.  A {!t} is a {e fault plan}: a
     seeded description of that hostility that the evaluation engine
     injects around the (deterministic) simulator.  It is both the test
@@ -27,9 +27,6 @@ type t = {
   outlier : float;
       (** probability a measurement is corrupted into a large outlier *)
   outlier_factor : float;  (** cycle multiplier of a corrupted measurement *)
-  crash : float;
-      (** probability the bytecode fast path crashes for a candidate,
-          forcing the engine to degrade to the reference interpreter *)
 }
 
 (** The inactive plan: no draws, no perturbation.  An engine configured
@@ -49,15 +46,14 @@ val make :
   ?hang:float ->
   ?outlier:float ->
   ?outlier_factor:float ->
-  ?crash:float ->
   unit ->
   t
 
 (** Parse a plan from a comma-separated spec, e.g.
-    ["seed=7,noise=0.05,transient=0.02,hang=0.01,outlier=0.01,crash=0"].
+    ["seed=7,noise=0.05,transient=0.02,hang=0.01,outlier=0.01"].
     Keys: [seed], [noise], [transient], [hang], [outlier],
-    [outlier_factor], [crash].  @raise Invalid_argument on unknown keys
-    or malformed values. *)
+    [outlier_factor].  @raise Invalid_argument on unknown keys or
+    malformed values. *)
 val of_spec : string -> t
 
 (** Canonical spec string ([of_spec (to_spec t) = t]); ["none"] for the
@@ -85,10 +81,6 @@ type fate =
     attempt of the candidate identified by [key].  Pure: the same
     arguments always produce the same fate. *)
 val draw : t -> key:string -> trial:int -> attempt:int -> fate
-
-(** Does the fast path crash for this candidate?  Drawn once per
-    candidate (pure), independent of the trial/attempt streams. *)
-val crashes : t -> key:string -> bool
 
 (** {2 Service-level fault plans}
 

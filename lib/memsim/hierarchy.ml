@@ -206,144 +206,6 @@ let replay_packed t buf ~pos ~len =
     end
   done
 
-(* Per-event twin of one [replay_packed] iteration, for callers that
-   interleave events from several streams (the batched multi-plan walk
-   in [Core.Demand_trace]).  The body is kept a literal copy of the
-   loop above rather than shared through a call so the packed loop —
-   the exact-path throughput the eval benchmark gates — keeps its
-   hoisted locals.  Any change here must be mirrored there. *)
-let replay_event t v =
-  let c = t.counters in
-  let l1 = t.caches.(0) in
-  let addr = v lsr 2 in
-  let tag = v land 3 in
-  if tag <> Ir.Sink.tag_prefetch then begin
-    let write = tag = Ir.Sink.tag_store in
-    if write then c.Counters.stores <- c.Counters.stores + 1
-    else c.Counters.loads <- c.Counters.loads + 1;
-    let page = Tlb.page_of_addr t.tlb addr in
-    if not (Tlb.access t.tlb ~page) then begin
-      c.Counters.tlb_misses <- c.Counters.tlb_misses + 1;
-      c.Counters.stall_cycles <-
-        c.Counters.stall_cycles + t.machine.Machine.tlb.Machine.miss_cycles
-    end;
-    let now = c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles in
-    let line = Cache.line_of_addr l1 addr in
-    let fill = Cache.access l1 ~line ~write in
-    if fill <> Cache.absent then begin
-      count_hit t 0;
-      if fill > now then
-        c.Counters.stall_cycles <- c.Counters.stall_cycles + (fill - now)
-    end
-    else begin
-      count_miss t 0;
-      let below = service t ~level:1 ~now ~addr ~dirty:false in
-      c.Counters.stall_cycles <- c.Counters.stall_cycles + below;
-      let evicted_dirty = Cache.insert l1 ~now ~ready:now ~dirty:write ~line in
-      if evicted_dirty then begin
-        c.Counters.writebacks <- c.Counters.writebacks + 1;
-        if Array.length t.caches > 1 then
-          Cache.set_dirty t.caches.(1)
-            ~line:(Cache.line_of_addr t.caches.(1) addr)
-      end
-    end
-  end
-  else begin
-    c.Counters.loads <- c.Counters.loads + 1;
-    c.Counters.prefetches <- c.Counters.prefetches + 1;
-    let page = Tlb.page_of_addr t.tlb addr in
-    if Tlb.probe t.tlb ~page then begin
-      let now = c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles in
-      let line = Cache.line_of_addr l1 addr in
-      if Cache.access l1 ~line ~write:false = Cache.absent then begin
-        count_miss t 0;
-        let below = service t ~level:1 ~now ~addr ~dirty:false in
-        c.Counters.prefetch_hidden_cycles <-
-          c.Counters.prefetch_hidden_cycles + below;
-        let evicted_dirty =
-          Cache.insert l1 ~now ~ready:(now + below) ~dirty:false ~line
-        in
-        if evicted_dirty then begin
-          c.Counters.writebacks <- c.Counters.writebacks + 1;
-          if Array.length t.caches > 1 then
-            Cache.set_dirty t.caches.(1)
-              ~line:(Cache.line_of_addr t.caches.(1) addr)
-        end
-      end
-    end
-  end
-
-let no_slack = min_int
-
-(* [replay_event] with timing feedback for the incremental prefetch
-   repricer: identical counter/state evolution (it IS the same body,
-   plus the return value), so interleaving it with [replay_event] on
-   the same stream changes nothing. *)
-let replay_event_slack t v =
-  let c = t.counters in
-  let l1 = t.caches.(0) in
-  let addr = v lsr 2 in
-  let tag = v land 3 in
-  if tag <> Ir.Sink.tag_prefetch then begin
-    let write = tag = Ir.Sink.tag_store in
-    if write then c.Counters.stores <- c.Counters.stores + 1
-    else c.Counters.loads <- c.Counters.loads + 1;
-    let page = Tlb.page_of_addr t.tlb addr in
-    if not (Tlb.access t.tlb ~page) then begin
-      c.Counters.tlb_misses <- c.Counters.tlb_misses + 1;
-      c.Counters.stall_cycles <-
-        c.Counters.stall_cycles + t.machine.Machine.tlb.Machine.miss_cycles
-    end;
-    let now = c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles in
-    let line = Cache.line_of_addr l1 addr in
-    let fill = Cache.access l1 ~line ~write in
-    if fill <> Cache.absent then begin
-      count_hit t 0;
-      if fill > now then
-        c.Counters.stall_cycles <- c.Counters.stall_cycles + (fill - now);
-      now - fill
-    end
-    else begin
-      count_miss t 0;
-      let below = service t ~level:1 ~now ~addr ~dirty:false in
-      c.Counters.stall_cycles <- c.Counters.stall_cycles + below;
-      let evicted_dirty = Cache.insert l1 ~now ~ready:now ~dirty:write ~line in
-      if evicted_dirty then begin
-        c.Counters.writebacks <- c.Counters.writebacks + 1;
-        if Array.length t.caches > 1 then
-          Cache.set_dirty t.caches.(1)
-            ~line:(Cache.line_of_addr t.caches.(1) addr)
-      end;
-      no_slack
-    end
-  end
-  else begin
-    c.Counters.loads <- c.Counters.loads + 1;
-    c.Counters.prefetches <- c.Counters.prefetches + 1;
-    let page = Tlb.page_of_addr t.tlb addr in
-    if not (Tlb.probe t.tlb ~page) then no_slack
-    else begin
-      let now = c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles in
-      let line = Cache.line_of_addr l1 addr in
-      if Cache.access l1 ~line ~write:false = Cache.absent then begin
-        count_miss t 0;
-        let below = service t ~level:1 ~now ~addr ~dirty:false in
-        c.Counters.prefetch_hidden_cycles <-
-          c.Counters.prefetch_hidden_cycles + below;
-        let evicted_dirty =
-          Cache.insert l1 ~now ~ready:(now + below) ~dirty:false ~line
-        in
-        if evicted_dirty then begin
-          c.Counters.writebacks <- c.Counters.writebacks + 1;
-          if Array.length t.caches > 1 then
-            Cache.set_dirty t.caches.(1)
-              ~line:(Cache.line_of_addr t.caches.(1) addr)
-        end
-      end;
-      0
-    end
-  end
-
 (* State-only service for the warm-up pass: same lookup/insert/dirty
    sequence as {!service} (so LRU ticks and residency evolve
    identically), no latency arithmetic or counters.  Fill times are
@@ -406,43 +268,12 @@ let warm_packed t buf ~pos ~len =
     end
   done
 
-(* Per-event twin of one [warm_packed] iteration; same duplication
-   rationale as [replay_event]. *)
-let warm_event t v =
-  let l1 = t.caches.(0) in
-  let tlb = t.tlb in
-  let multi = Array.length t.caches > 1 in
-  let addr = v lsr 2 in
-  let tag = v land 3 in
-  if tag <> Ir.Sink.tag_prefetch then begin
-    let write = tag = Ir.Sink.tag_store in
-    ignore (Tlb.access tlb ~page:(Tlb.page_of_addr tlb addr));
-    let line = Cache.line_of_addr l1 addr in
-    if Cache.access l1 ~line ~write = Cache.absent then begin
-      warm_service t ~level:1 ~addr;
-      let evicted_dirty = Cache.insert l1 ~now:0 ~ready:0 ~dirty:write ~line in
-      if evicted_dirty && multi then
-        Cache.set_dirty t.caches.(1)
-          ~line:(Cache.line_of_addr t.caches.(1) addr)
-    end
-  end
-  else if Tlb.probe tlb ~page:(Tlb.page_of_addr tlb addr) then begin
-    let line = Cache.line_of_addr l1 addr in
-    if Cache.access l1 ~line ~write:false = Cache.absent then begin
-      warm_service t ~level:1 ~addr;
-      let evicted_dirty = Cache.insert l1 ~now:0 ~ready:0 ~dirty:false ~line in
-      if evicted_dirty && multi then
-        Cache.set_dirty t.caches.(1)
-          ~line:(Cache.line_of_addr t.caches.(1) addr)
-    end
-  end
-
 (* --- Structure-of-arrays batched replay ------------------------------
 
    The prefetch sweep feeds ONE shared demand stream to K plan states.
-   Driving that through K [replay_event] calls per event touches five
-   mutable record fields per plan per event; for K beyond ~16 the
-   per-plan counter records defeat the cache.  [Batch] splits the hot
+   Driving that through K per-hierarchy replays touches five mutable
+   record fields per plan per event; for K beyond ~16 the per-plan
+   counter records defeat the cache.  [Batch] splits the hot
    counters (loads / stores / stall / L1 hits / prefetches — the ones
    every event updates) into flat int arrays indexed by plan, so the
    K-plan inner loop is a strided walk over five contiguous arrays with
@@ -453,12 +284,15 @@ let warm_event t v =
    touched out of line on the miss paths.
 
    Invariant: per plan, the arithmetic is a verbatim transliteration of
-   {!replay_event} over the same event sequence, so counters after
-   {!Batch.sync} are bit-identical to the unbatched path (the replay
-   test suite checks structural equality).  While a batch is live, its
+   one {!replay_packed} iteration over the same event sequence, so
+   counters after {!Batch.sync} are bit-identical to replaying that
+   plan's stream on its own (the replay test suite checks structural
+   equality).  While a batch is live, its
    plans' hot counter fields in {!Counters.t} are STALE — every feed
    must go through the [Batch] functions, and {!Batch.sync} must run
    before the records are read. *)
+let no_slack = min_int
+
 module Batch = struct
   type hierarchy = t
 
@@ -632,9 +466,13 @@ module Batch = struct
       end
     done
 
-  (* One event for plan [i] only (per-plan prefetch emissions and
-     sampled segments): the [replay_event] body against the flat
-     counters. *)
+  (* One event for plan [i] only (per-plan prefetch emissions, sampled
+     segments, the repricer's base-plan walk): one [replay_packed]
+     iteration against the flat counters.  Returns the timing feedback
+     the incremental repricer reads: for a demand L1 hit, [now - fill]
+     (negative = the stall paid); for an issued prefetch, 0;
+     [no_slack] for a demand miss or a prefetch dropped on a TLB
+     miss. *)
   let replay_one b i v =
     let addr = v lsr 2 in
     let tag = v land 3 in
@@ -658,9 +496,13 @@ module Batch = struct
         Array.unsafe_set b.b_hit0 i (Array.unsafe_get b.b_hit0 i + 1);
         if fill > now then
           Array.unsafe_set b.b_stall i
-            (Array.unsafe_get b.b_stall i + (fill - now))
+            (Array.unsafe_get b.b_stall i + (fill - now));
+        now - fill
       end
-      else demand_miss b i ~now ~addr ~write ~line
+      else begin
+        demand_miss b i ~now ~addr ~write ~line;
+        no_slack
+      end
     end
     else begin
       Array.unsafe_set b.b_loads i (Array.unsafe_get b.b_loads i + 1);
@@ -672,18 +514,19 @@ module Batch = struct
           + Array.unsafe_get b.b_stall i
         in
         if Cache.access l1 ~line ~write:false = Cache.absent then
-          prefetch_miss b i ~now ~addr ~line
+          prefetch_miss b i ~now ~addr ~line;
+        0
       end
+      else no_slack
     end
 
   let replay_range b i buf ~pos ~len =
     for e = pos to pos + len - 1 do
-      replay_one b i (Array.unsafe_get buf e)
+      ignore (replay_one b i (Array.unsafe_get buf e))
     done
 
-  (* Warm variants: no counters are involved, so the per-plan forms
-     delegate to the scalar warm paths; the shared form still hoists
-     the decode. *)
+  (* Warm variants: no counters are involved.  The shared form hoists
+     the decode; the per-plan range delegates to [warm_packed]. *)
   let warm_all b buf ~pos ~len =
     let k = b.k in
     let l1s = b.l1s and tlbs = b.tlbs in
@@ -712,7 +555,21 @@ module Batch = struct
         done
     done
 
-  let warm_one b i v = warm_event (Array.unsafe_get b.hs i) v
+  let warm_one b i v =
+    let addr = v lsr 2 in
+    let tag = v land 3 in
+    let l1 = Array.unsafe_get b.l1s i in
+    let tlb = Array.unsafe_get b.tlbs i in
+    let line = Cache.line_of_addr l1 addr in
+    if tag <> Ir.Sink.tag_prefetch then begin
+      let write = tag = Ir.Sink.tag_store in
+      ignore (Tlb.access tlb ~page:(Tlb.page_of_addr tlb addr));
+      if Cache.access l1 ~line ~write = Cache.absent then
+        warm_miss b i ~addr ~write ~line
+    end
+    else if Tlb.probe tlb ~page:(Tlb.page_of_addr tlb addr) then
+      if Cache.access l1 ~line ~write:false = Cache.absent then
+        warm_miss b i ~addr ~write:false ~line
 
   let warm_range b i buf ~pos ~len = warm_packed b.hs.(i) buf ~pos ~len
 end

@@ -41,27 +41,9 @@ val replay_packed : t -> int array -> pos:int -> len:int -> unit
     {!replay_packed}'s. *)
 val warm_packed : t -> int array -> pos:int -> len:int -> unit
 
-(** [replay_event t v] simulates the single packed event [v] — one
-    iteration of {!replay_packed}, for callers that interleave events
-    from several streams (the batched multi-plan sweep).  Feeding a
-    buffer event by event is bit-identical to one {!replay_packed}
-    call over it. *)
-val replay_event : t -> int -> unit
-
-(** As {!replay_event}, additionally returning timing feedback for the
-    incremental prefetch repricer: for a demand event that hits in L1,
-    [now - fill] of the line (>= 0 when the line was ready that many
-    cycles early, negative = the stall cycles paid); {!no_slack} on a
-    demand miss.  For a prefetch event, [0] when the prefetch was
-    issued (installed the line or found it resident), {!no_slack} when
-    it was dropped on a TLB miss.  Counter and state evolution is
-    identical to {!replay_event}. *)
-val replay_event_slack : t -> int -> int
-
+(** The {!Batch.replay_one} timing feedback for a demand miss or a
+    prefetch dropped on a TLB miss. *)
 val no_slack : int
-
-(** Per-event twin of one {!warm_packed} iteration. *)
-val warm_event : t -> int -> unit
 
 (** Structure-of-arrays batched replay over K plan states sharing one
     demand stream (the prefetch sweep).  The hot counters every event
@@ -71,12 +53,13 @@ val warm_event : t -> int -> unit
     counters (level misses, TLB misses, writebacks) stay in each plan's
     {!Counters.t} and are updated out of line on miss paths.
 
-    Per plan, the arithmetic is a verbatim transliteration of
-    {!replay_event}, so after {!Batch.sync} the counters are
-    bit-identical to replaying that plan's stream unbatched.  While a
-    batch is live its plans' hot counter fields are stale: every feed
-    must go through the batch, and {!Batch.sync} must be called before
-    the {!Counters.t} records are read. *)
+    Per plan, the arithmetic is a verbatim transliteration of one
+    {!replay_packed} iteration, so after {!Batch.sync} the counters are
+    bit-identical to replaying that plan's stream with
+    {!replay_packed}.  While a batch is live its plans' hot counter
+    fields are stale: every feed must go through the batch, and
+    {!Batch.sync} must be called before the {!Counters.t} records are
+    read. *)
 module Batch : sig
   type hierarchy := t
   type t
@@ -94,8 +77,14 @@ module Batch : sig
   val replay_all : t -> int array -> pos:int -> len:int -> unit
 
   (** [replay_one b i v] feeds the single event [v] to plan [i]
-      (per-plan prefetch emissions). *)
-  val replay_one : t -> int -> int -> unit
+      (per-plan prefetch emissions) and returns timing feedback for the
+      incremental prefetch repricer: for a demand event that hits in
+      L1, [now - fill] of the line (>= 0 when the line was ready that
+      many cycles early, negative = the stall cycles paid);
+      {!no_slack} on a demand miss.  For a prefetch event, [0] when the
+      prefetch was issued (installed the line or found it resident),
+      {!no_slack} when it was dropped on a TLB miss. *)
+  val replay_one : t -> int -> int -> int
 
   (** [replay_range b i buf ~pos ~len] feeds a run to plan [i] only
       (sampled measured windows). *)

@@ -61,12 +61,12 @@ let kernels =
   ]
 
 (* Mirrors [eco tune]'s checkpoint tag for the service's fixed knobs
-   (fast path, no measurement faults, default protocol), so a daemon
-   checkpoint is verified against exactly the configuration that must
-   reproduce its answer. *)
+   (no measurement faults, default protocol), so a daemon checkpoint is
+   verified against exactly the configuration that must reproduce its
+   answer. *)
 let session_tag cfg ~kernel ~n ~machine ~budget ~objective ~prefilter =
   Printf.sprintf
-    "tune|m=%s|k=%s|n=%d|b=%d|path=fast|faults=none|trials=1|retries=2|obj=%s|pf=%s|db=%s|sample=off|batch=on|incr=off|confirm=adaptive"
+    "tune|m=%s|k=%s|n=%d|b=%d|faults=none|trials=1|retries=2|obj=%s|pf=%s|db=%s|sample=off|incr=off|confirm=adaptive"
     machine.Machine.name kernel n budget
     (Objective.to_string objective)
     (match prefilter with Some k -> string_of_int k | None -> "off")

@@ -1,6 +1,6 @@
 (* Tests for the fault-injection plan and the engine's resilient
    measurement protocol: seeded determinism, retry/quarantine, robust
-   aggregation, fast-path crash degradation and checkpoint recovery. *)
+   aggregation and checkpoint recovery. *)
 
 module Matmul = Kernels.Matmul
 
@@ -40,8 +40,7 @@ let test_draw_deterministic () =
 
 let test_spec_roundtrip () =
   let t =
-    Faults.make ~seed:5 ~noise:0.05 ~transient:0.02 ~hang:0.01 ~outlier:0.01
-      ~crash:0.005 ()
+    Faults.make ~seed:5 ~noise:0.05 ~transient:0.02 ~hang:0.01 ~outlier:0.01 ()
   in
   Alcotest.(check bool) "roundtrip" true (Faults.of_spec (Faults.to_spec t) = t);
   Alcotest.(check string) "none" "none" (Faults.to_spec Faults.none);
@@ -49,9 +48,14 @@ let test_spec_roundtrip () =
   (match Faults.of_spec "transient=2" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted out-of-range rate");
-  match Faults.of_spec "nose=0.1" with
+  (match Faults.of_spec "nose=0.1" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted unknown key"
+  | _ -> Alcotest.fail "accepted unknown key");
+  match Faults.of_spec "crash=0.1" with
+  | exception Invalid_argument m ->
+    Alcotest.(check bool) "crash is an unknown key" true
+      (String.starts_with ~prefix:"Faults.of_spec: unknown key" m)
+  | _ -> Alcotest.fail "accepted the removed crash key"
 
 let test_aggregate_trims_outlier () =
   Alcotest.(check (float 1e-9)) "median odd" 100.0
@@ -70,11 +74,10 @@ let test_aggregate_trims_outlier () =
 (* --- determinism of the full search under injected faults --- *)
 
 (* (answer, telemetry, batched groups) of a noisy search. *)
-let noisy_tune ~jobs ~batch =
+let noisy_tune ~jobs =
   let faults = Faults.make ~seed:13 ~noise:0.05 ~transient:0.05 ~hang:0.02 () in
   let protocol = { Core.Engine.default_protocol with trials = 5 } in
   let engine = Core.Engine.create ~jobs ~faults ~protocol sgi in
-  Core.Engine.set_batch_replay engine batch;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:32 in
   let o = r.Core.Eco.outcome in
   let s = Core.Engine.stats engine in
@@ -86,17 +89,10 @@ let noisy_tune ~jobs ~batch =
     s.Core.Engine.batched_groups )
 
 let test_faulty_search_jobs_deterministic () =
-  let a1, t1, g1 = noisy_tune ~jobs:1 ~batch:true in
-  let a4, t4, g4 = noisy_tune ~jobs:4 ~batch:true in
-  let b1, u1, _ = noisy_tune ~jobs:1 ~batch:false in
-  let b4, u4, _ = noisy_tune ~jobs:4 ~batch:false in
-  Alcotest.(check bool)
-    "jobs 1 and 4, batching on and off, under faults: same answer" true
-    (a1 = a4 && a1 = b1 && a1 = b4);
-  Alcotest.(check bool) "batching on: same telemetry at jobs 1 and 4" true
-    (t1 = t4);
-  Alcotest.(check bool) "batching off: same telemetry at jobs 1 and 4" true
-    (u1 = u4);
+  let a1, t1, g1 = noisy_tune ~jobs:1 in
+  let a4, t4, g4 = noisy_tune ~jobs:4 in
+  Alcotest.(check bool) "jobs 1 and 4 under faults: same answer" true (a1 = a4);
+  Alcotest.(check bool) "same telemetry at jobs 1 and 4" true (t1 = t4);
   (* The protocol applies per member after the group walk, so sweeps
      stay batched under an active plan with repeated trials. *)
   Alcotest.(check bool) "sweeps batched under the protocol" true
@@ -202,33 +198,6 @@ let test_outlier_absorbed () =
     Alcotest.(check bool) "aggregate near the clean value" true
       (abs_float (c -. clean) /. clean < 0.05)
 
-(* --- fast-path crash degradation --- *)
-
-let test_crash_degrades_to_closures () =
-  let faults = Faults.make ~seed:6 ~crash:1.0 () in
-  let crashy = Core.Engine.create ~path:Core.Executor.Fast ~faults sgi in
-  let reference = Core.Engine.create ~path:Core.Executor.Closures sgi in
-  let v = variant () in
-  let bindings = some_point crashy v ~n:32 in
-  let req = Core.Engine.request v ~n:32 ~mode:fast ~bindings in
-  let cycles engine =
-    match Core.Engine.evaluate engine req with
-    | Some ev -> Core.Executor.cycles ev.Core.Engine.measurement
-    | None -> Alcotest.fail "evaluation failed"
-  in
-  Alcotest.(check (float 0.0)) "crashed Fast equals Closures"
-    (cycles reference) (cycles crashy);
-  Alcotest.(check bool) "fallback counted" true
-    ((Core.Engine.stats crashy).Core.Engine.vm_fallbacks >= 1);
-  (* In a whole search, a candidate with a planned crash never joins a
-     batched group: each one is measured on its own and degrades. *)
-  let searched = Core.Engine.create ~faults sgi in
-  ignore (Core.Eco.optimize_with ~mode:fast searched Matmul.kernel ~n:32);
-  let s = Core.Engine.stats searched in
-  Alcotest.(check int) "every fresh evaluation fell back" s.Core.Engine.fresh
-    s.Core.Engine.vm_fallbacks;
-  Alcotest.(check int) "no batched groups" 0 s.Core.Engine.batched_groups
-
 (* --- checkpointing: kill, resume, equivalence --- *)
 
 let ck_tune engine = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:32
@@ -332,6 +301,20 @@ let test_checkpoint_corrupt_file_ignored () =
   Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc flipped);
   Alcotest.(check bool) "a flipped payload byte means a fresh start" true
     (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"t" file = None);
+  (* The same intact checkpoint under the previous format version's
+     magic: it must load as a fresh start and never reach the tag
+     check, which would refuse it as a different run. *)
+  let magic = "ECO-CHECKPOINT-6\n" in
+  let body = String.length bytes - String.length magic in
+  Alcotest.(check string) "written with the current magic" magic
+    (String.sub bytes 0 (String.length magic));
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc
+        ("ECO-CHECKPOINT-5\n" ^ String.sub bytes (String.length magic) body));
+  Alcotest.(check bool) "a version-5 checkpoint means a fresh start" true
+    (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"another run"
+       file
+    = None);
   Sys.remove file
 
 let suite =
@@ -351,8 +334,6 @@ let suite =
     Alcotest.test_case "cycle cap times out" `Quick test_cycle_cap_times_out;
     Alcotest.test_case "outliers absorbed by trials" `Quick
       test_outlier_absorbed;
-    Alcotest.test_case "fast-path crash degrades to closures" `Quick
-      test_crash_degrades_to_closures;
     Alcotest.test_case "checkpoint: kill/resume equivalence" `Quick
       test_checkpoint_kill_resume_equivalence;
     Alcotest.test_case "checkpoint: tag mismatch refused" `Quick

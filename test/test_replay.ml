@@ -69,7 +69,7 @@ let test_batch_mixed_feed_matches_packed () =
   Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len:cutA;
   for i = 0 to k - 1 do
     for e = cutA to cutB - 1 do
-      Memsim.Hierarchy.Batch.replay_one b i events.(e)
+      ignore (Memsim.Hierarchy.Batch.replay_one b i events.(e))
     done
   done;
   for i = 0 to k - 1 do
@@ -85,12 +85,16 @@ let test_batch_mixed_feed_matches_packed () =
       (Memsim.Hierarchy.counters solo)
   done
 
+(* The K=1 batch fed one event at a time — the repricer's walk — is a
+   solo replay. *)
 let test_replay_event_matches_packed () =
   let events = synthetic_events 5_000 in
   let a = Memsim.Hierarchy.create sgi in
   let b = Memsim.Hierarchy.create sgi in
   Memsim.Hierarchy.replay_packed a events ~pos:0 ~len:(Array.length events);
-  Array.iter (Memsim.Hierarchy.replay_event b) events;
+  let bb = Memsim.Hierarchy.Batch.create [| b |] in
+  Array.iter (fun v -> ignore (Memsim.Hierarchy.Batch.replay_one bb 0 v)) events;
+  Memsim.Hierarchy.Batch.sync bb;
   check_counters "event-at-a-time counters identical"
     (Memsim.Hierarchy.counters a) (Memsim.Hierarchy.counters b)
 
@@ -108,14 +112,15 @@ let test_warm_variants_agree () =
   let a = Memsim.Hierarchy.create sgi in
   Memsim.Hierarchy.warm_packed a events ~pos:0 ~len:cut;
   let b = Memsim.Hierarchy.create sgi in
+  let bb = Memsim.Hierarchy.Batch.create [| b |] in
   for i = 0 to cut - 1 do
-    Memsim.Hierarchy.warm_event b events.(i)
+    Memsim.Hierarchy.Batch.warm_one bb 0 events.(i)
   done;
   let c = Memsim.Hierarchy.create sgi in
   let bc = Memsim.Hierarchy.Batch.create [| c |] in
   Memsim.Hierarchy.Batch.warm_all bc events ~pos:0 ~len:cut;
   let ca = tail a in
-  check_counters "warm_event ≡ warm_packed" ca (tail b);
+  check_counters "Batch.warm_one ≡ warm_packed" ca (tail b);
   check_counters "Batch.warm_all ≡ warm_packed" ca (tail c)
 
 (* --- the sampling state machine --------------------------------------- *)
@@ -598,25 +603,12 @@ let test_trace_lru_eviction () =
 
 (* --- engine/search level guarantees ----------------------------------- *)
 
-let optimize ?sampling ?(batch = true) ?(incremental = false) ?(jobs = 1) () =
+let optimize ?sampling ?(incremental = false) ?(jobs = 1) () =
   let engine = Core.Engine.create ~jobs sgi in
   Core.Engine.set_sampling engine sampling;
-  Core.Engine.set_batch_replay engine batch;
   Core.Engine.set_incremental engine incremental;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:48 in
   (r, Core.Engine.stats engine)
-
-let test_batching_off_bit_identical () =
-  let on, _ = optimize () in
-  let off, _ = optimize ~batch:false () in
-  Alcotest.(check bool) "same winner cycles" true
-    (Core.Executor.cycles on.Core.Eco.measurement
-    = Core.Executor.cycles off.Core.Eco.measurement);
-  Alcotest.(check bool) "same winner point" true
-    (on.Core.Eco.outcome.Core.Search.bindings
-     = off.Core.Eco.outcome.Core.Search.bindings
-    && on.Core.Eco.outcome.Core.Search.prefetch
-       = off.Core.Eco.outcome.Core.Search.prefetch)
 
 let test_sampled_search_jobs_deterministic () =
   let a, _ =
@@ -683,8 +675,6 @@ let suite =
     Alcotest.test_case "jacobi3d thrash group re-prices" `Quick
       test_jacobi3d_thrash_group_reprices;
     Alcotest.test_case "demand-trace LRU eviction" `Slow test_trace_lru_eviction;
-    Alcotest.test_case "batching off is bit-identical" `Slow
-      test_batching_off_bit_identical;
     Alcotest.test_case "sampled search jobs-deterministic" `Slow
       test_sampled_search_jobs_deterministic;
     Alcotest.test_case "sampled search winner is exact" `Slow

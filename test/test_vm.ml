@@ -235,12 +235,7 @@ let test_prefetch_synthesis () =
               in
               let vm = Vm.compile ~register_budget ~params transformed in
               let flop_budget, warm_budget =
-                match mode with
-                | Core.Executor.Full -> (None, None)
-                | Core.Executor.Budget b ->
-                  ( Some b,
-                    if b < kernel.Kernel.flops n then Some (max 1 (b / 2))
-                    else None )
+                Core.Executor.trace_budgets kernel ~n mode
               in
               let r = Vm.run ?flop_budget ?warm_budget vm in
               (* Prefetch statements leave execution statistics alone, so
@@ -265,7 +260,7 @@ let test_prefetch_synthesis () =
           Core.Executor.Budget (max 2 (kernel.Kernel.flops n / 2)) ])
     [ (Kernels.Matmul.kernel, 16); (Kernels.Jacobi3d.kernel, 8) ]
 
-(* --- executor: fast path vs closures --- *)
+(* --- executor: VM path vs the closure reference --- *)
 
 let check_measurement ctx (a : Core.Executor.measurement)
     (b : Core.Executor.measurement) =
@@ -284,18 +279,15 @@ let test_executor_paths_agree () =
   let program = kernel.Kernel.program in
   List.iter
     (fun mode ->
-      let fast =
-        Core.Executor.measure ~path:Core.Executor.Fast machine kernel ~n ~mode
-          program
-      in
+      let fast = Core.Executor.measure machine kernel ~n ~mode program in
       let slow =
-        Core.Executor.measure ~path:Core.Executor.Closures machine kernel ~n
-          ~mode program
+        Core.Executor.measure_reference machine kernel ~n ~mode program
       in
       check_measurement "executor" fast slow)
     [ Core.Executor.Full; Core.Executor.Budget (kernel.Kernel.flops n / 4) ]
 
-(* --- engine: fast path vs closures, and demand-trace reuse --- *)
+(* --- engine: every route vs the closure reference, and demand-trace
+   reuse --- *)
 
 let test_engine_paths_agree () =
   let kernel = Kernels.Matmul.kernel in
@@ -323,25 +315,27 @@ let test_engine_paths_agree () =
       Core.Engine.request v ~n ~mode ~bindings ~prefetch:[ (a, 2); (b, 4) ];
     ]
   in
-  let eval path =
-    let engine = Core.Engine.create ~path machine in
-    let evs =
-      List.map
-        (fun r ->
-          match Core.Engine.evaluate engine r with
-          | Some ev -> ev
-          | None -> Alcotest.fail "evaluation failed")
-        requests
-    in
-    (engine, evs)
+  (* Each evaluation against the reference measurement of the program
+     it reports. *)
+  let reference (ev : Core.Engine.evaluation) =
+    Core.Executor.measure_reference machine kernel ~n ~mode
+      ev.Core.Engine.program
   in
-  let fast_engine, fast = eval Core.Executor.Fast in
-  let _, slow = eval Core.Executor.Closures in
+  let fast_engine = Core.Engine.create machine in
+  let fast =
+    List.map
+      (fun r ->
+        match Core.Engine.evaluate fast_engine r with
+        | Some ev -> ev
+        | None -> Alcotest.fail "evaluation failed")
+      requests
+  in
+  let slow = List.map reference fast in
   List.iteri
     (fun i (f, s) ->
       check_measurement
         (Printf.sprintf "engine req %d" i)
-        f.Core.Engine.measurement s.Core.Engine.measurement)
+        f.Core.Engine.measurement s)
     (List.combine fast slow);
   (* Single-shot candidates never capture a trace (a capture costs
      more than measuring the one candidate directly); only a batched
@@ -358,12 +352,24 @@ let test_engine_paths_agree () =
       | Some b ->
         check_measurement
           (Printf.sprintf "batch req %d" i)
-          b.Core.Engine.measurement s.Core.Engine.measurement)
+          b.Core.Engine.measurement s)
     (List.combine (Core.Engine.evaluate_batch batch_engine requests) slow);
   (* The three prefetch candidates share one bindings point, so the
      batch groups them over a single captured trace. *)
   let bstats = Core.Engine.stats batch_engine in
-  check_int "one grouped trace fill" 1 bstats.Core.Engine.trace_fills
+  check_int "one grouped trace fill" 1 bstats.Core.Engine.trace_fills;
+  (* A later single request at that point walks the cached trace as a
+     one-plan group. *)
+  (match
+     Core.Engine.evaluate batch_engine
+       (Core.Engine.request v ~n ~mode ~bindings ~prefetch:[ (a, 8) ])
+   with
+  | None -> Alcotest.fail "one-plan walk failed"
+  | Some ev ->
+    check_measurement "one-plan walk" ev.Core.Engine.measurement (reference ev));
+  check_int "the single request reused the trace"
+    (bstats.Core.Engine.trace_hits + 1)
+    (Core.Engine.stats batch_engine).Core.Engine.trace_hits
 
 (* --- cache unit tests --- *)
 
