@@ -362,7 +362,7 @@ let tune machine kernel n budget jobs objective prefilter profile validate
       exit 1
     end
   end;
-  Format.printf "@.optimized code:@.%a" Ir.Program.pp o.Core.Search.program
+  Format.printf "@.optimized code:@.%a" Ir.Program.pp r.Core.Eco.program
 
 let tune_cmd =
   let objective_arg =
@@ -698,7 +698,7 @@ let run_cmd =
 let codegen machine kernel n budget jobs fortran =
   let mode = mode_of_budget budget in
   let r = Core.Eco.optimize ~mode ~jobs machine kernel ~n in
-  let program = r.Core.Eco.outcome.Core.Search.program in
+  let program = r.Core.Eco.program in
   if fortran then print_string (Ir.Codegen_f90.file program)
   else print_string (Ir.Codegen_c.file program)
 

@@ -43,4 +43,4 @@ let () =
   (* The rotating-register stencil body the paper shows in Figure 2(b). *)
   let result = Core.Eco.optimize ~mode Machine.sgi_r10000 kernel ~n in
   Format.printf "@.Optimized stencil (SGI):@.%a" Ir.Program.pp
-    result.Core.Eco.outcome.Core.Search.program
+    result.Core.Eco.program

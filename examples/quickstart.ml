@@ -50,4 +50,4 @@ let () =
     /. naive.Core.Executor.mflops);
 
   Format.printf "Optimized loop nest:@.%a" Ir.Program.pp
-    outcome.Core.Search.program
+    result.Core.Eco.program

@@ -1,5 +1,6 @@
 type result = {
   outcome : Search.outcome;
+  program : Ir.Program.t;
   measurement : Executor.measurement;
   variants : Variant.t list;
   log : Search_log.t;
@@ -217,7 +218,22 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
         (* an unappendable store degrades persistence; the answer in
            hand is unaffected *)
         Engine.degrade_db engine (Printexc.to_string e));
-    { outcome = best; measurement = best.Search.measurement; variants; log; engine }
+    (* The one program the run builds: the winner's.  [Engine.build] is
+       pure, so it is the program that was measured, and it builds. *)
+    let program =
+      Option.get
+        (Engine.build engine
+           (Engine.request best.Search.variant ~n ~mode
+              ~bindings:best.Search.bindings ~prefetch:best.Search.prefetch))
+    in
+    {
+      outcome = best;
+      program;
+      measurement = best.Search.measurement;
+      variants;
+      log;
+      engine;
+    }
 
 let optimize ?mode ?max_variants ?jobs ?objective ?prefilter machine kernel ~n =
   optimize_with ?mode ?max_variants

@@ -18,7 +18,10 @@
     optimizations, strategies or experiments. *)
 
 type result = {
-  outcome : Search.outcome;  (** winning variant, parameters, program *)
+  outcome : Search.outcome;  (** winning variant and parameters *)
+  program : Ir.Program.t;
+      (** the winner's program, instantiated with its prefetches: the
+          one program a run builds, once, with {!Engine.build} *)
   measurement : Executor.measurement;  (** its measurement *)
   variants : Variant.t list;  (** everything phase 1 derived *)
   log : Search_log.t;  (** every point phase 2 evaluated *)

@@ -7,11 +7,7 @@ type request = {
   check : bool;
 }
 
-type evaluation = {
-  program : Ir.Program.t;
-  measurement : Executor.measurement;
-  cached : bool;
-}
+type evaluation = { measurement : Executor.measurement; cached : bool }
 
 (* Why a candidate's evaluation failed.  [Infeasible_instantiation] and
    [Malformed_program] are deterministic (real IR/transformation bugs —
@@ -61,40 +57,77 @@ let default_protocol =
   }
 
 type stats = {
-  hits : int;
-  fresh : int;
-  pruned : int;
-  prefiltered : int;
-  model_evals : int;
-  model_seconds : float;
-  failed : int;
-  failed_infeasible : int;
-  failed_malformed : int;
-  failed_transient : int;
-  failed_timeout : int;
-  failed_quarantined : int;
-  retries : int;
-  trials_run : int;
-  early_stops : int;
-  simulated_cycles : float;
-  eval_seconds : float;
-  compile_seconds : float;
-  exec_seconds : float;
-  sim_seconds : float;
-  memo_seconds : float;
-  trace_hits : int;
-  trace_fills : int;
-  fill_seconds : float;
-  db_hits : int;
-  warm_starts : int;
-  sampled : int;
-  batched_groups : int;
-  batched_candidates : int;
-  repriced : int;
-  repriced_joint : int;
-  confirmed : int;
-  confirm_skipped : int;
+  mutable hits : int;
+  mutable fresh : int;
+  mutable pruned : int;
+  mutable prefiltered : int;
+  mutable model_evals : int;
+  mutable model_seconds : float;
+  mutable failed : int;
+  mutable failed_infeasible : int;
+  mutable failed_malformed : int;
+  mutable failed_transient : int;
+  mutable failed_timeout : int;
+  mutable failed_quarantined : int;
+  mutable retries : int;
+  mutable trials_run : int;
+  mutable early_stops : int;
+  mutable simulated_cycles : float;
+  mutable eval_seconds : float;
+  mutable compile_seconds : float;
+  mutable exec_seconds : float;
+  mutable sim_seconds : float;
+  mutable memo_seconds : float;
+  mutable trace_hits : int;
+  mutable trace_fills : int;
+  mutable fill_seconds : float;
+  mutable db_hits : int;
+  mutable warm_starts : int;
+  mutable sampled : int;
+  mutable batched_groups : int;
+  mutable batched_candidates : int;
+  mutable repriced : int;
+  mutable repriced_joint : int;
+  mutable confirmed : int;
+  mutable confirm_skipped : int;
 }
+
+let zero_stats () =
+  {
+    hits = 0;
+    fresh = 0;
+    pruned = 0;
+    prefiltered = 0;
+    model_evals = 0;
+    model_seconds = 0.0;
+    failed = 0;
+    failed_infeasible = 0;
+    failed_malformed = 0;
+    failed_transient = 0;
+    failed_timeout = 0;
+    failed_quarantined = 0;
+    retries = 0;
+    trials_run = 0;
+    early_stops = 0;
+    simulated_cycles = 0.0;
+    eval_seconds = 0.0;
+    compile_seconds = 0.0;
+    exec_seconds = 0.0;
+    sim_seconds = 0.0;
+    memo_seconds = 0.0;
+    trace_hits = 0;
+    trace_fills = 0;
+    fill_seconds = 0.0;
+    db_hits = 0;
+    warm_starts = 0;
+    sampled = 0;
+    batched_groups = 0;
+    batched_candidates = 0;
+    repriced = 0;
+    repriced_joint = 0;
+    confirmed = 0;
+    confirm_skipped = 0;
+  }
 
 (* The canonical identity of a measurement.  [fp_shape] is a structural
    digest of the variant recipe, so two variants that happen to share a
@@ -119,7 +152,7 @@ type fingerprint = {
 (* Infeasible, pruned and failed points are cached too, with their typed
    reason, so pruning and quarantine are paid once per point. *)
 type memo_entry =
-  | Measured_entry of Ir.Program.t * Executor.measurement
+  | Measured_entry of Executor.measurement
   | Pruned_entry
   | Failed_entry of failure_reason
 
@@ -162,30 +195,6 @@ type t = {
   mutable prefilter : int option;
   (* prepared model analyses, keyed by (variant shape digest, n) *)
   preds : (string * int, Predict.prepared) Hashtbl.t;
-  mutable hits : int;
-  mutable fresh : int;
-  mutable pruned : int;
-  mutable prefiltered : int;
-  mutable model_evals : int;
-  mutable model_seconds : float;
-  mutable failed : int;
-  mutable failed_infeasible : int;
-  mutable failed_malformed : int;
-  mutable failed_transient : int;
-  mutable failed_timeout : int;
-  mutable failed_quarantined : int;
-  mutable retries : int;
-  mutable trials_run : int;
-  mutable early_stops : int;
-  mutable simulated_cycles : float;
-  mutable eval_seconds : float;
-  mutable compile_seconds : float;
-  mutable exec_seconds : float;
-  mutable sim_seconds : float;
-  mutable memo_seconds : float;
-  mutable trace_hits : int;
-  mutable trace_fills : int;
-  mutable fill_seconds : float;
   (* Persistent performance database: exact hits served from disk like
      memo hits (but surviving across runs), fresh successful
      measurements appended back.  [db_ctx] pins everything outside the
@@ -196,8 +205,6 @@ type t = {
   mutable db : Perfdb.t option;
   mutable db_warm : bool;
   mutable db_ctx : string;
-  mutable db_hits : int;
-  mutable warm_starts : int;
   (* Sampled / incremental replay (two of the three evaluator tiers of
      DESIGN.md section 12; batched replay is always on).  [sampling]
      turns measurements into sampled estimates; [incremental] re-prices
@@ -205,20 +212,15 @@ type t = {
      prefetch-timeliness slacks. *)
   mutable sampling : Memsim.Sampling.t option;
   mutable incremental : bool;
-  mutable sampled : int;
-  mutable batched_groups : int;
-  mutable batched_candidates : int;
-  mutable repriced : int;
-  mutable repriced_joint : int;
-  (* Adaptive confirmation (Search.confirm_best): exact leaderboard
-     confirms performed / skipped, the [--confirm] override, and the
-     observed estimator rank quality per kernel on this machine —
-     (separated pairs, inversions) between estimate order and the
-     exact confirms already performed. *)
-  mutable confirmed : int;
-  mutable confirm_skipped : int;
+  (* Adaptive confirmation (Search.confirm_best): the [--confirm]
+     override and the observed estimator rank quality per kernel on
+     this machine — (separated pairs, inversions) between estimate
+     order and the exact confirms already performed. *)
   mutable confirm_override : int option;
   rank_stats : (string, int * int) Hashtbl.t;
+  (* Every telemetry counter, bumped in place; a checkpoint stores the
+     record whole and a resume replaces it. *)
+  mutable stats : stats;
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
@@ -256,46 +258,14 @@ let create ?(jobs = 1) ?(faults = Faults.none) ?(protocol = default_protocol)
     objective;
     prefilter;
     preds = Hashtbl.create 16;
-    hits = 0;
-    fresh = 0;
-    pruned = 0;
-    prefiltered = 0;
-    model_evals = 0;
-    model_seconds = 0.0;
-    failed = 0;
-    failed_infeasible = 0;
-    failed_malformed = 0;
-    failed_transient = 0;
-    failed_timeout = 0;
-    failed_quarantined = 0;
-    retries = 0;
-    trials_run = 0;
-    early_stops = 0;
-    simulated_cycles = 0.0;
-    eval_seconds = 0.0;
-    compile_seconds = 0.0;
-    exec_seconds = 0.0;
-    sim_seconds = 0.0;
-    memo_seconds = 0.0;
-    trace_hits = 0;
-    trace_fills = 0;
-    fill_seconds = 0.0;
     db = None;
     db_warm = false;
     db_ctx = "";
-    db_hits = 0;
-    warm_starts = 0;
     sampling = None;
     incremental = false;
-    sampled = 0;
-    batched_groups = 0;
-    batched_candidates = 0;
-    repriced = 0;
-    repriced_joint = 0;
-    confirmed = 0;
-    confirm_skipped = 0;
     confirm_override = None;
     rank_stats = Hashtbl.create 4;
+    stats = zero_stats ();
   }
 
 let machine t = t.machine
@@ -339,42 +309,8 @@ let record_rank_sample t ~kernel ~pairs ~inversions =
 let set_prefilter t k =
   t.prefilter <- (match k with Some k when k >= 1 -> Some k | _ -> None)
 
-let stats t =
-  {
-    hits = t.hits;
-    fresh = t.fresh;
-    pruned = t.pruned;
-    prefiltered = t.prefiltered;
-    model_evals = t.model_evals;
-    model_seconds = t.model_seconds;
-    failed = t.failed;
-    failed_infeasible = t.failed_infeasible;
-    failed_malformed = t.failed_malformed;
-    failed_transient = t.failed_transient;
-    failed_timeout = t.failed_timeout;
-    failed_quarantined = t.failed_quarantined;
-    retries = t.retries;
-    trials_run = t.trials_run;
-    early_stops = t.early_stops;
-    simulated_cycles = t.simulated_cycles;
-    eval_seconds = t.eval_seconds;
-    compile_seconds = t.compile_seconds;
-    exec_seconds = t.exec_seconds;
-    sim_seconds = t.sim_seconds;
-    memo_seconds = t.memo_seconds;
-    trace_hits = t.trace_hits;
-    trace_fills = t.trace_fills;
-    fill_seconds = t.fill_seconds;
-    db_hits = t.db_hits;
-    warm_starts = t.warm_starts;
-    sampled = t.sampled;
-    batched_groups = t.batched_groups;
-    batched_candidates = t.batched_candidates;
-    repriced = t.repriced;
-    repriced_joint = t.repriced_joint;
-    confirmed = t.confirmed;
-    confirm_skipped = t.confirm_skipped;
-  }
+(* A snapshot: the engine keeps bumping its own record. *)
+let stats t = { t.stats with hits = t.stats.hits }
 
 let failure_breakdown (s : stats) =
   List.filter
@@ -552,7 +488,7 @@ let db_degraded t = t.db_degraded
 let warm_db t = if t.db_warm then t.db else None
 
 let note_warm_start t ?log () =
-  t.warm_starts <- t.warm_starts + 1;
+  t.stats.warm_starts <- t.stats.warm_starts + 1;
   match log with Some log -> Search_log.note_warm_start log | None -> ()
 
 let db_key t fp = Digest.to_hex (Digest.string (t.db_ctx ^ "||" ^ fault_key fp))
@@ -582,8 +518,9 @@ let model_score t (r : request) =
     | s -> s
     | exception _ -> neg_infinity
   in
-  t.model_evals <- t.model_evals + 1;
-  t.model_seconds <- t.model_seconds +. (Unix_time.now () -. t0);
+  let st = t.stats in
+  st.model_evals <- st.model_evals + 1;
+  st.model_seconds <- st.model_seconds +. (Unix_time.now () -. t0);
   s
 
 (* Insert a prefetch plan into an instantiated program. *)
@@ -602,12 +539,11 @@ let build_program machine (r : request) =
 let build t r = build_program t.machine (canonical r)
 
 (* Serve a memo miss from the on-disk exact-hit tier: unmarshal the
-   persisted measurement and rebuild the program (instantiation is
-   pure, so the pair is value-identical to a fresh simulation).  Any
-   defect — unreadable payload, failed rebuild — falls through to a
-   fresh simulation rather than failing the request.  Runs only on the
-   coordinator, so counters and the memo mutate in request order. *)
-let db_serve t ?log (r : request) fp =
+   persisted measurement, value-identical to a fresh simulation.  An
+   unreadable payload falls through to a fresh simulation rather than
+   failing the request.  Runs only on the coordinator, so counters and
+   the memo mutate in request order. *)
+let db_serve t ?log fp =
   (* Sampled estimates never enter or leave the database: it stores
      exact measurements only. *)
   if fp.fp_sampled then None
@@ -620,16 +556,11 @@ let db_serve t ?log (r : request) fp =
     | Some payload -> (
       match (Marshal.from_string payload 0 : Executor.measurement) with
       | exception _ -> None
-      | m -> (
-        match build_program t.machine r with
-        | None -> None
-        | Some program ->
-          Hashtbl.replace t.memo fp (Measured_entry (program, m));
-          t.db_hits <- t.db_hits + 1;
-          (match log with
-          | Some log -> Search_log.note_db_hit log
-          | None -> ());
-          Some { program; measurement = m; cached = true })))
+      | m ->
+        Hashtbl.replace t.memo fp (Measured_entry m);
+        t.stats.db_hits <- t.stats.db_hits + 1;
+        (match log with Some log -> Search_log.note_db_hit log | None -> ());
+        Some { measurement = m; cached = true }))
 
 (* Persist one fresh successful measurement.  Only the [Measured] arm of
    [commit] calls this: pruned, failed and quarantined candidates must
@@ -661,7 +592,7 @@ let db_append t (r : request) fp (m : Executor.measurement) =
    concurrent simulations share nothing.  [Invalid_argument] escapes to
    [task_of], which maps it to a typed reason. *)
 type clean =
-  | Clean of Ir.Program.t * Executor.measurement
+  | Clean of Executor.measurement
   | Clean_infeasible
   | Clean_failed of failure_reason
 
@@ -675,21 +606,15 @@ let clean_simulate ?sampling machine (r : request) =
     | None -> Clean_failed Infeasible_instantiation
     | Some program ->
       Clean
-        ( program,
-          Executor.measure ?sampling machine r.variant.Variant.kernel ~n:r.n
-            ~mode:r.mode program )
+        (Executor.measure ?sampling machine r.variant.Variant.kernel ~n:r.n
+           ~mode:r.mode program)
 
-(* Measure a prefetch candidate from its captured demand trace (found
-   by [candidate_dt], so feasible or unchecked), as a one-plan walk
-   ([Demand_trace.measure_plans]), and rebuild the candidate program
-   from the cached demand program (value-identical to [build_program],
-   since instantiation is pure). *)
+(* Measure a [traceable] candidate from its captured demand trace (found
+   by [candidate_dt]) as a one-plan walk ([Demand_trace.measure_plans]). *)
 let clean_from_trace ?sampling machine dt (r : request) =
-  let m =
+  Clean
     (Demand_trace.measure_plans ?sampling machine r.variant.Variant.kernel
        ~n:r.n dt ~plans:[| r.prefetch |]).(0)
-  in
-  Clean (with_prefetches machine (Demand_trace.program dt) r.prefetch, m)
 
 (* --- the resilient measurement protocol ------------------------------ *)
 
@@ -698,7 +623,7 @@ let clean_from_trace ?sampling machine dt (r : request) =
 type tele = { t_retries : int; t_trials : int; t_early_stops : int }
 
 type raw =
-  | Measured of Ir.Program.t * Executor.measurement * tele
+  | Measured of Executor.measurement * tele
   | Infeasible
   | Failed of failure_reason * tele
 
@@ -728,13 +653,13 @@ let protect ?(trial_base = 0) ~faults ~(protocol : protocol) ~key clean =
   match clean with
   | Clean_infeasible -> Infeasible
   | Clean_failed reason -> Failed (reason, tele ())
-  | Clean (program, m) -> (
+  | Clean m -> (
     let c0 = Executor.cycles m in
     if c0 > protocol.cycle_cap then Failed (Timeout, tele ())
     else if (not faults.Faults.active) && protocol.trials <= 1 then
       (* the legacy path: no draws, no aggregation, the measurement
          exactly as simulated *)
-      Measured (program, m, tele ())
+      Measured (m, tele ())
     else begin
       let n_trials = protocol.trials in
       let samples = Array.make n_trials 0.0 in
@@ -783,7 +708,7 @@ let protect ?(trial_base = 0) ~faults ~(protocol : protocol) ~key clean =
       | None ->
         let agg = Faults.aggregate (Array.sub samples 0 !filled) in
         let m = if agg = c0 then m else Executor.perturb m (agg /. c0) in
-        Measured (program, m, tele ())
+        Measured (m, tele ())
     end)
 
 (* --- demand-trace LRU ------------------------------------------------ *)
@@ -796,7 +721,7 @@ let trace_find t key =
     | ((k, dt) as entry) :: rest ->
       if k = key then begin
         t.traces <- entry :: List.rev_append acc rest;
-        t.trace_hits <- t.trace_hits + 1;
+        t.stats.trace_hits <- t.stats.trace_hits + 1;
         Some dt
       end
       else go (entry :: acc) rest
@@ -825,8 +750,8 @@ let trace_add t key dt =
    which fails with the same typed reason. *)
 let trace_fill t (r : request) key =
   let t0 = Unix_time.now () in
-  Fun.protect
-    ~finally:(fun () -> t.fill_seconds <- t.fill_seconds +. (Unix_time.now () -. t0))
+  Fun.protect ~finally:(fun () ->
+      t.stats.fill_seconds <- t.stats.fill_seconds +. (Unix_time.now () -. t0))
   @@ fun () ->
   match Variant.instantiate r.variant ~bindings:r.bindings with
   | exception Invalid_argument _ -> None
@@ -841,16 +766,26 @@ let trace_fill t (r : request) key =
     with
     | exception Invalid_argument _ -> None
     | dt ->
-      t.trace_fills <- t.trace_fills + 1;
+      t.stats.trace_fills <- t.stats.trace_fills + 1;
       trace_add t key dt;
       Some dt)
 
+(* Does a candidate take the demand-trace route?  It needs a prefetch
+   plan whose every distance is at least 1 (a shorter one has no
+   program: building it fails as [Malformed_program] on the direct
+   route), at a feasible or unchecked point (an infeasible one is
+   pruned there). *)
+let traceable (r : request) =
+  r.prefetch <> []
+  && List.for_all (fun (_, d) -> d >= 1) r.prefetch
+  && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+
 (* Find or capture the demand trace a prefetch candidate should replay
-   against; [None] for non-prefetch candidates (and anything pruned or
-   uncapturable — they are measured directly).  Runs on the coordinator:
-   workers never touch the cache, they reuse the trace pinned into
-   their task's closure.  Reuse counts a trace hit; the capturing
-   request itself does not.
+   against; [None] for candidates that are not [traceable] (and
+   uncapturable ones — they are measured directly).  Runs on the
+   coordinator: workers never touch the cache, they reuse the trace
+   pinned into their task's closure.  Reuse counts a trace hit; the
+   capturing request itself does not.
 
    [fill:false] (single-shot requests) consults the cache but never
    captures: a capture is a mark-instrumented VM run plus a multi-MB
@@ -858,10 +793,7 @@ let trace_fill t (r : request) key =
    directly, so it only pays when a multi-plan group is about to
    amortize it ([group_unit], the one [fill:true] caller). *)
 let candidate_dt ?(fill = true) t (r : request) fp =
-  if
-    r.prefetch <> []
-    && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-  then
+  if traceable r then
     match trace_find t (trace_key fp) with
     | Some dt -> Some dt
     | None -> if fill then trace_fill t r (trace_key fp) else None
@@ -906,56 +838,30 @@ type resume = {
 }
 
 (* Everything a killed search needs to resume to the identical final
-   answer: the memo table (the search replays deterministically against
-   it, so the memo IS the search cursor) plus the telemetry counters, so
-   resumed stats line up with an uninterrupted run.  Demand traces and
-   shape digests are caches and are rebuilt on demand. *)
+   answer: the memo table of measurements (the search replays
+   deterministically against it, so the memo IS the search cursor) plus
+   the whole counter record, so resumed stats line up with an
+   uninterrupted run.  Demand traces and shape digests are caches and
+   are rebuilt on demand. *)
 type checkpoint_blob = {
   ck_tag : string;
   ck_machine : string;
   ck_entries : (fingerprint * memo_entry) array;
-  ck_hits : int;
-  ck_fresh : int;
-  ck_pruned : int;
-  ck_prefiltered : int;
-  ck_model_evals : int;
-  ck_model_seconds : float;
-  ck_failed : int;
-  ck_failed_infeasible : int;
-  ck_failed_malformed : int;
-  ck_failed_transient : int;
-  ck_failed_timeout : int;
-  ck_failed_quarantined : int;
-  ck_retries : int;
-  ck_trials_run : int;
-  ck_early_stops : int;
-  ck_simulated_cycles : float;
-  ck_eval_seconds : float;
-  ck_compile_seconds : float;
-  ck_exec_seconds : float;
-  ck_sim_seconds : float;
-  ck_memo_seconds : float;
-  ck_db_hits : int;
-  ck_warm_starts : int;
-  ck_sampled : int;
-  ck_batched_groups : int;
-  ck_batched_candidates : int;
-  ck_repriced : int;
-  ck_repriced_joint : int;
-  ck_confirmed : int;
-  ck_confirm_skipped : int;
+  ck_stats : stats;
   ck_rank : (string * (int * int)) array;
   ck_best : float option;
 }
 
-(* Version 6: the fast-path fallback counter is gone (v5 added the
+(* Version 7: memo entries hold measurements without their programs,
+   and the counters are one [stats] record, demand-trace counters
+   included (v6 dropped the fast-path fallback counter, v5 added the
    joint-repricing and adaptive-confirmation counters plus the
    per-kernel rank-quality table, v4 the fingerprint sampled flag and
    the batched/sampled/repriced counters, v3 the performance-database
    counters, v2 the pre-filter counters).  Old files fail the magic
    check and load as "corrupt" -- crash-only semantics, the run starts
    fresh instead of mis-restoring counters. *)
-let checkpoint_magic = "ECO-CHECKPOINT-6\n"
+let checkpoint_magic = "ECO-CHECKPOINT-7\n"
 
 (* Exact entries only: sampled estimates may sit below the truth, and
    the callers (checkpoint resume line, [Search]'s polish-worthiness
@@ -964,7 +870,7 @@ let best_cycles t =
   Hashtbl.fold
     (fun fp entry acc ->
       match entry with
-      | Measured_entry (_, m) when not fp.fp_sampled -> (
+      | Measured_entry m when not fp.fp_sampled -> (
         let c = Executor.cycles m in
         match acc with Some b when b <= c -> acc | _ -> Some c)
       | Measured_entry _ | Pruned_entry | Failed_entry _ -> acc)
@@ -981,36 +887,7 @@ let save_checkpoint t =
         ck_entries =
           Array.of_seq
             (Seq.map (fun (k, v) -> (k, v)) (Hashtbl.to_seq t.memo));
-        ck_hits = t.hits;
-        ck_fresh = t.fresh;
-        ck_pruned = t.pruned;
-        ck_prefiltered = t.prefiltered;
-        ck_model_evals = t.model_evals;
-        ck_model_seconds = t.model_seconds;
-        ck_failed = t.failed;
-        ck_failed_infeasible = t.failed_infeasible;
-        ck_failed_malformed = t.failed_malformed;
-        ck_failed_transient = t.failed_transient;
-        ck_failed_timeout = t.failed_timeout;
-        ck_failed_quarantined = t.failed_quarantined;
-        ck_retries = t.retries;
-        ck_trials_run = t.trials_run;
-        ck_early_stops = t.early_stops;
-        ck_simulated_cycles = t.simulated_cycles;
-        ck_eval_seconds = t.eval_seconds;
-        ck_compile_seconds = t.compile_seconds;
-        ck_exec_seconds = t.exec_seconds;
-        ck_sim_seconds = t.sim_seconds;
-        ck_memo_seconds = t.memo_seconds;
-        ck_db_hits = t.db_hits;
-        ck_warm_starts = t.warm_starts;
-        ck_sampled = t.sampled;
-        ck_batched_groups = t.batched_groups;
-        ck_batched_candidates = t.batched_candidates;
-        ck_repriced = t.repriced;
-        ck_repriced_joint = t.repriced_joint;
-        ck_confirmed = t.confirmed;
-        ck_confirm_skipped = t.confirm_skipped;
+        ck_stats = t.stats;
         ck_rank =
           Array.of_seq (Seq.map Fun.id (Hashtbl.to_seq t.rank_stats));
         ck_best = best_cycles t;
@@ -1092,42 +969,13 @@ let load_checkpoint t ~tag file =
                 "checkpoint %s was written for machine %s, engine targets %s"
                 file ck.ck_machine t.machine.Machine.name));
       Array.iter (fun (fp, e) -> Hashtbl.replace t.memo fp e) ck.ck_entries;
-      t.hits <- ck.ck_hits;
-      t.fresh <- ck.ck_fresh;
-      t.pruned <- ck.ck_pruned;
-      t.prefiltered <- ck.ck_prefiltered;
-      t.model_evals <- ck.ck_model_evals;
-      t.model_seconds <- ck.ck_model_seconds;
-      t.failed <- ck.ck_failed;
-      t.failed_infeasible <- ck.ck_failed_infeasible;
-      t.failed_malformed <- ck.ck_failed_malformed;
-      t.failed_transient <- ck.ck_failed_transient;
-      t.failed_timeout <- ck.ck_failed_timeout;
-      t.failed_quarantined <- ck.ck_failed_quarantined;
-      t.retries <- ck.ck_retries;
-      t.trials_run <- ck.ck_trials_run;
-      t.early_stops <- ck.ck_early_stops;
-      t.simulated_cycles <- ck.ck_simulated_cycles;
-      t.eval_seconds <- ck.ck_eval_seconds;
-      t.compile_seconds <- ck.ck_compile_seconds;
-      t.exec_seconds <- ck.ck_exec_seconds;
-      t.sim_seconds <- ck.ck_sim_seconds;
-      t.memo_seconds <- ck.ck_memo_seconds;
-      t.db_hits <- ck.ck_db_hits;
-      t.warm_starts <- ck.ck_warm_starts;
-      t.sampled <- ck.ck_sampled;
-      t.batched_groups <- ck.ck_batched_groups;
-      t.batched_candidates <- ck.ck_batched_candidates;
-      t.repriced <- ck.ck_repriced;
-      t.repriced_joint <- ck.ck_repriced_joint;
-      t.confirmed <- ck.ck_confirmed;
-      t.confirm_skipped <- ck.ck_confirm_skipped;
+      t.stats <- ck.ck_stats;
       Hashtbl.reset t.rank_stats;
       Array.iter (fun (k, pq) -> Hashtbl.replace t.rank_stats k pq) ck.ck_rank;
       Some
         {
           resumed_entries = Array.length ck.ck_entries;
-          resumed_fresh = ck.ck_fresh;
+          resumed_fresh = ck.ck_stats.fresh;
           resumed_best_cycles = ck.ck_best;
         }
 
@@ -1163,41 +1011,50 @@ let batch_boundary t =
    durable. *)
 let after_fresh t =
   (match t.checkpoint with
-  | Some (_, _, every) when t.fresh mod every = 0 -> save_checkpoint t
+  | Some (_, _, every) when t.stats.fresh mod every = 0 -> save_checkpoint t
   | _ -> ());
   interrupt t;
   match t.eval_limit with
-  | Some limit when t.fresh >= limit -> raise (Eval_limit_reached limit)
+  | Some limit when t.stats.fresh >= limit -> raise (Eval_limit_reached limit)
   | _ -> ()
 
 (* --- commit and serve ------------------------------------------------- *)
 
 let add_tele t (tl : tele) =
-  if tl.t_retries <> 0 then t.retries <- t.retries + tl.t_retries;
-  if tl.t_trials <> 0 then t.trials_run <- t.trials_run + tl.t_trials;
-  if tl.t_early_stops <> 0 then t.early_stops <- t.early_stops + tl.t_early_stops
+  let s = t.stats in
+  s.retries <- s.retries + tl.t_retries;
+  s.trials_run <- s.trials_run + tl.t_trials;
+  s.early_stops <- s.early_stops + tl.t_early_stops
 
-let count_failure t = function
-  | Infeasible_instantiation -> t.failed_infeasible <- t.failed_infeasible + 1
-  | Malformed_program -> t.failed_malformed <- t.failed_malformed + 1
-  | Transient -> t.failed_transient <- t.failed_transient + 1
-  | Timeout -> t.failed_timeout <- t.failed_timeout + 1
-  | Quarantined -> t.failed_quarantined <- t.failed_quarantined + 1
+(* One fresh measurement's share of the telemetry. *)
+let count_fresh t (m : Executor.measurement) =
+  let s = t.stats in
+  s.fresh <- s.fresh + 1;
+  s.simulated_cycles <- s.simulated_cycles +. Executor.cycles m;
+  s.compile_seconds <- s.compile_seconds +. m.timings.compile_s;
+  s.exec_seconds <- s.exec_seconds +. m.timings.exec_s;
+  s.sim_seconds <- s.sim_seconds +. m.timings.sim_s
+
+let count_failure t reason =
+  let s = t.stats in
+  s.failed <- s.failed + 1;
+  match reason with
+  | Infeasible_instantiation -> s.failed_infeasible <- s.failed_infeasible + 1
+  | Malformed_program -> s.failed_malformed <- s.failed_malformed + 1
+  | Transient -> s.failed_transient <- s.failed_transient + 1
+  | Timeout -> s.failed_timeout <- s.failed_timeout + 1
+  | Quarantined -> s.failed_quarantined <- s.failed_quarantined + 1
 
 (* Commit one fresh result: memo table, telemetry, log — always on the
    coordinating domain, always in request order. *)
 let commit t ?log (r : request) fp raw =
   match raw with
-  | Measured (program, m, tl) ->
+  | Measured (m, tl) ->
     add_tele t tl;
-    Hashtbl.replace t.memo fp (Measured_entry (program, m));
+    Hashtbl.replace t.memo fp (Measured_entry m);
     db_append t r fp m;
-    t.fresh <- t.fresh + 1;
-    if fp.fp_sampled then t.sampled <- t.sampled + 1;
-    t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-    t.compile_seconds <- t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-    t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-    t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
+    count_fresh t m;
+    if fp.fp_sampled then t.stats.sampled <- t.stats.sampled + 1;
     (match log with
     | Some log ->
       Search_log.record log
@@ -1210,25 +1067,24 @@ let commit t ?log (r : request) fp raw =
         }
     | None -> ());
     after_fresh t;
-    Some { program; measurement = m; cached = false }
+    Some { measurement = m; cached = false }
   | Infeasible ->
     Hashtbl.replace t.memo fp Pruned_entry;
-    t.pruned <- t.pruned + 1;
+    t.stats.pruned <- t.stats.pruned + 1;
     (match log with Some log -> Search_log.note_pruned log | None -> ());
     None
   | Failed (reason, tl) ->
     add_tele t tl;
     Hashtbl.replace t.memo fp (Failed_entry reason);
-    t.failed <- t.failed + 1;
     count_failure t reason;
     (match log with Some log -> Search_log.note_failed log | None -> ());
     None
 
 let serve_hit t ?log entry =
-  t.hits <- t.hits + 1;
+  t.stats.hits <- t.stats.hits + 1;
   (match log with Some log -> Search_log.note_hit log | None -> ());
   match entry with
-  | Measured_entry (program, m) -> Some { program; measurement = m; cached = true }
+  | Measured_entry m -> Some { measurement = m; cached = true }
   | Pruned_entry | Failed_entry _ -> None
 
 let evaluate_canonical t ?log r =
@@ -1236,16 +1092,16 @@ let evaluate_canonical t ?log r =
   let fp = fingerprint t r in
   let t0 = Unix_time.now () in
   let entry = Hashtbl.find_opt t.memo fp in
-  t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
+  t.stats.memo_seconds <- t.stats.memo_seconds +. (Unix_time.now () -. t0);
   match entry with
   | Some entry -> serve_hit t ?log entry
   | None -> (
-    match db_serve t ?log r fp with
+    match db_serve t ?log fp with
     | Some ev -> Some ev
     | None ->
       let t0 = Unix_time.now () in
       let raw = simulate_miss t r fp in
-      t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
+      t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
       commit t ?log r fp raw)
 
 let evaluate t ?log r = evaluate_canonical t ?log (canonical r)
@@ -1285,22 +1141,16 @@ let confirm t r ~trials =
     in
     let t0 = Unix_time.now () in
     let raw = task () in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
+    t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
     match raw with
-    | Measured (_, m, tl) ->
+    | Measured (m, tl) ->
       add_tele t tl;
-      t.fresh <- t.fresh + 1;
-      t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-      t.compile_seconds <-
-        t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-      t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-      t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
+      count_fresh t m;
       after_fresh t;
       Some m
     | Infeasible -> None
     | Failed (reason, tl) ->
       add_tele t tl;
-      t.failed <- t.failed + 1;
       count_failure t reason;
       None
   end
@@ -1334,19 +1184,19 @@ let parallel_map jobs f arr =
   Array.map Option.get out
 
 let note_prefiltered t ?log () =
-  t.prefiltered <- t.prefiltered + 1;
+  t.stats.prefiltered <- t.stats.prefiltered + 1;
   match log with Some log -> Search_log.note_prefiltered log | None -> ()
 
 let note_repriced t ?log () =
-  t.repriced <- t.repriced + 1;
+  t.stats.repriced <- t.stats.repriced + 1;
   match log with Some log -> Search_log.note_repriced log | None -> ()
 
 let note_confirmed t ?log () =
-  t.confirmed <- t.confirmed + 1;
+  t.stats.confirmed <- t.stats.confirmed + 1;
   match log with Some log -> Search_log.note_confirmed log | None -> ()
 
 let note_confirm_skipped t ?log () =
-  t.confirm_skipped <- t.confirm_skipped + 1;
+  t.stats.confirm_skipped <- t.stats.confirm_skipped + 1;
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
 (* One batched sweep group: [members] share one demand-trace key.  All
@@ -1366,8 +1216,9 @@ let group_unit t members =
     let tasks = Array.map (fun (r, fp, _) -> task_of t r fp ~dt:None) members in
     (members, ref 0, fun () -> Array.map (fun task -> Some (task ())) tasks)
   | Some dt ->
-    t.batched_groups <- t.batched_groups + 1;
-    t.batched_candidates <- t.batched_candidates + Array.length members;
+    let s = t.stats in
+    s.batched_groups <- s.batched_groups + 1;
+    s.batched_candidates <- s.batched_candidates + Array.length members;
     let machine = t.machine
     and faults = t.faults
     and protocol = t.protocol
@@ -1381,13 +1232,8 @@ let group_unit t members =
     let joint = ref 0 in
     let thunk () =
       let finishing i m =
-        let (r : request), fp, _ = members.(i) in
-        let clean =
-          match with_prefetches machine (Demand_trace.program dt) r.prefetch with
-          | exception Invalid_argument _ -> Clean_failed Malformed_program
-          | program -> Clean (program, m)
-        in
-        protect ~faults ~protocol ~key:(fault_key fp) clean
+        let _, fp, _ = members.(i) in
+        protect ~faults ~protocol ~key:(fault_key fp) (Clean m)
       in
       let measured =
         match
@@ -1431,7 +1277,7 @@ let evaluate_batch t ?log reqs =
             `Run (r, fp, slot))
       reqs
   in
-  t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
+  t.stats.memo_seconds <- t.stats.memo_seconds +. (Unix_time.now () -. t0);
   let run_entries =
     List.filter_map
       (function `Run (r, fp, slot) -> Some (r, fp, slot) | `Hit _ | `Dup _ -> None)
@@ -1478,8 +1324,8 @@ let evaluate_batch t ?log reqs =
      on disk, for the same reason.)  Lookups run on the coordinator. *)
   let served = Hashtbl.create 16 in
   List.iter
-    (fun (r, fp, _) ->
-      match db_serve t ?log r fp with
+    (fun (_, fp, _) ->
+      match db_serve t ?log fp with
       | Some ev -> Hashtbl.replace served fp ev
       | None -> ())
     executed;
@@ -1499,12 +1345,8 @@ let evaluate_batch t ?log reqs =
   let buckets = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
-    (fun (((r : request), fp, _) as e) ->
-      let groupable =
-        r.prefetch <> []
-        && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-      in
-      if groupable then begin
+    (fun ((r, fp, _) as e) ->
+      if traceable r then begin
         let key = trace_key fp in
         match Hashtbl.find_opt buckets key with
         | Some q -> Queue.add e q
@@ -1531,9 +1373,10 @@ let evaluate_batch t ?log reqs =
   let units = Array.of_list units in
   let t0 = Unix_time.now () in
   let results = parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units in
-  t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
+  t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
   Array.iter
-    (fun (_, joint, _) -> t.repriced_joint <- t.repriced_joint + !joint)
+    (fun (_, joint, _) ->
+      t.stats.repriced_joint <- t.stats.repriced_joint + !joint)
     units;
   let raw_of_slot = Hashtbl.create 16 in
   let repriced_slots = Hashtbl.create 4 in
@@ -1607,12 +1450,8 @@ let measure_program t ?key kernel ~n ~mode program =
   let run () =
     let t0 = Unix_time.now () in
     let m = Executor.measure t.machine kernel ~n ~mode program in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-    t.fresh <- t.fresh + 1;
-    t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-    t.compile_seconds <- t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-    t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-    t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
+    t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
+    count_fresh t m;
     after_fresh t;
     m
   in
@@ -1621,10 +1460,10 @@ let measure_program t ?key kernel ~n ~mode program =
   | Some shape -> (
     let fp = program_fingerprint kernel ~n ~mode shape in
     match Hashtbl.find_opt t.memo fp with
-    | Some (Measured_entry (_, m)) ->
-      t.hits <- t.hits + 1;
+    | Some (Measured_entry m) ->
+      t.stats.hits <- t.stats.hits + 1;
       m
     | Some (Pruned_entry | Failed_entry _) | None ->
       let m = run () in
-      Hashtbl.replace t.memo fp (Measured_entry (program, m));
+      Hashtbl.replace t.memo fp (Measured_entry m);
       m)

@@ -10,15 +10,21 @@
       fingerprint [(kernel, variant shape, n, mode, bindings,
       prefetch)], so a point revisited by a later search stage, another
       strategy, or another experiment sharing the engine is served from
-      the memo table without re-simulation.  Infeasible points are
-      cached too, so constraint pruning is paid once per point — and so
-      are failed points, with their typed {!failure_reason}, so a
-      quarantined candidate is never re-measured.
+      the memo table without re-simulation.  The memo keeps each
+      point's measurement, not its program: {!build} makes the program
+      of a point on demand (the search needs only the winner's).
+      Infeasible points are cached too, so constraint pruning is paid
+      once per point — and so are failed points, with their typed
+      {!failure_reason}, so a quarantined candidate is never
+      re-measured.
     - {b One measurement route per candidate} — a candidate whose
       demand trace is captured is walked by
       {!Demand_trace.measure_plans}, alone or with the rest of its
       sweep group; every other candidate goes through
-      {!Executor.measure}.
+      {!Executor.measure}.  Only a prefetch plan whose every distance
+      is at least 1 takes the trace route; a shorter distance has no
+      program, and fails as {!Malformed_program} on the direct
+      route.
     - {b Parallelism} — [evaluate_batch] runs memo misses on a pool of
       [jobs] domains (hierarchy state comes from per-domain pools, so
       workers share nothing).  Results are committed to the memo table,
@@ -36,13 +42,14 @@
       {!Malformed_program}; any other exception is a bug and
       propagates.
     - {b Crash-only persistence} — {!set_checkpoint} periodically
-      persists the memo table and telemetry; {!load_checkpoint}
-      restores them, after which a deterministic search replays to the
-      identical final answer.
-    - {b Telemetry} — per-engine counters (memo hits, fresh
+      persists the memo table and the counter record;
+      {!load_checkpoint} restores them, after which a deterministic
+      search replays to the identical final answer.
+    - {b Telemetry} — one counter record per engine (memo hits, fresh
       simulations, constraint-pruned candidates, typed failure
       breakdown, retries, simulated cycles, wall seconds inside
-      evaluation) and per-search counters via the log.
+      evaluation), read as a {!stats} snapshot; the {!Search_log}
+      counts each search's share of a shared engine.
 
     An engine is bound to one machine model.  It is not itself
     thread-safe: call it from one coordinating domain and let it spread
@@ -293,8 +300,10 @@ val request :
   bindings:(string * int) list ->
   request
 
+(** A point's measurement.  Its program is not kept: {!build} makes it
+    (instantiation is pure, so that is the program that was
+    measured). *)
 type evaluation = {
-  program : Ir.Program.t;  (** instantiated, with prefetches applied *)
   measurement : Executor.measurement;
   cached : bool;  (** served from the memo table, not re-simulated *)
 }
@@ -368,11 +377,13 @@ val measure_program :
 
     A checkpoint persists the memo table (which, for a deterministic
     search, {e is} the search cursor: replaying the search against it
-    costs only memo lookups) plus the telemetry counters.  Files are
-    written atomically (write to a temp file, then rename), prefixed
-    with a magic string and an integrity digest, so a run killed at any
-    instant leaves a loadable checkpoint — the previous complete one at
-    worst. *)
+    costs only memo lookups) and the whole {!stats} record.  The memo
+    holds measurements, pruned points and typed failures, never
+    programs, so a checkpoint stays small (tens of KB for one tune).
+    Files are written atomically (write to a temp file, then rename),
+    prefixed with a magic string and an integrity digest, so a run
+    killed at any instant leaves a loadable checkpoint — the previous
+    complete one at worst. *)
 
 (** Raised by {!load_checkpoint} when the file is a valid checkpoint of
     a {e different} run configuration (tag or machine mismatch) —
@@ -402,8 +413,9 @@ val set_checkpoint : t -> ?every:int -> tag:string -> string -> unit
     called) — e.g. once more after the search completes. *)
 val checkpoint_now : t -> unit
 
-(** [load_checkpoint t ~tag file] restores the memo table and telemetry
-    from [file].  [None] when the file is missing, truncated or corrupt
+(** [load_checkpoint t ~tag file] restores the memo table and every
+    counter of {!stats} from [file].  [None] when the file is missing,
+    truncated, corrupt or written by another format version
     (crash-only recovery: start fresh).
     @raise Checkpoint_mismatch when the file belongs to a different run
     configuration or machine. *)
@@ -449,53 +461,60 @@ val deadline : t -> float option
 
 (** {2 Telemetry} *)
 
-(** Cumulative engine-lifetime telemetry. *)
-type stats = {
-  hits : int;  (** requests served from the memo table *)
-  fresh : int;  (** actual simulations run *)
-  pruned : int;  (** candidates rejected by constraints, no simulation *)
-  prefiltered : int;
+(** Cumulative engine-lifetime telemetry: the engine's one counter
+    record.  Only the engine bumps it, in place; {!stats} hands out a
+    read-only copy. *)
+type stats = private {
+  mutable hits : int;  (** requests served from the memo table *)
+  mutable fresh : int;  (** actual simulations run *)
+  mutable pruned : int;
+      (** candidates rejected by constraints, no simulation *)
+  mutable prefiltered : int;
       (** candidates skipped by the analytical pre-filter (feasible,
           ranked outside the batch top-k, never simulated) *)
-  model_evals : int;  (** analytical predictions computed *)
-  model_seconds : float;  (** wall time inside the analytical model *)
-  failed : int;  (** instantiation/measurement failures (total) *)
-  failed_infeasible : int;  (** {!Infeasible_instantiation} *)
-  failed_malformed : int;  (** {!Malformed_program} *)
-  failed_transient : int;  (** {!Transient} *)
-  failed_timeout : int;  (** {!Timeout} *)
-  failed_quarantined : int;  (** {!Quarantined} *)
-  retries : int;  (** protocol retries across all candidates *)
-  trials_run : int;  (** successful trials across all candidates *)
-  early_stops : int;  (** candidates whose trials stopped early *)
-  simulated_cycles : float;  (** total cycles across fresh measurements *)
-  eval_seconds : float;  (** wall time spent inside evaluation *)
-  compile_seconds : float;  (** bytecode compilation *)
-  exec_seconds : float;  (** program execution / trace generation *)
-  sim_seconds : float;  (** hierarchy simulation (replay) *)
-  memo_seconds : float;  (** memo-table lookups *)
-  trace_hits : int;
+  mutable model_evals : int;  (** analytical predictions computed *)
+  mutable model_seconds : float;  (** wall time inside the analytical model *)
+  mutable failed : int;  (** instantiation/measurement failures (total) *)
+  mutable failed_infeasible : int;  (** {!Infeasible_instantiation} *)
+  mutable failed_malformed : int;  (** {!Malformed_program} *)
+  mutable failed_transient : int;  (** {!Transient} *)
+  mutable failed_timeout : int;  (** {!Timeout} *)
+  mutable failed_quarantined : int;  (** {!Quarantined} *)
+  mutable retries : int;  (** protocol retries across all candidates *)
+  mutable trials_run : int;  (** successful trials across all candidates *)
+  mutable early_stops : int;  (** candidates whose trials stopped early *)
+  mutable simulated_cycles : float;
+      (** total cycles across fresh measurements *)
+  mutable eval_seconds : float;  (** wall time spent inside evaluation *)
+  mutable compile_seconds : float;  (** bytecode compilation *)
+  mutable exec_seconds : float;  (** program execution / trace generation *)
+  mutable sim_seconds : float;  (** hierarchy simulation (replay) *)
+  mutable memo_seconds : float;  (** memo-table lookups *)
+  mutable trace_hits : int;
       (** candidates (or sweep groups) served by a cached demand trace *)
-  trace_fills : int;  (** demand traces captured *)
-  fill_seconds : float;
+  mutable trace_fills : int;  (** demand traces captured *)
+  mutable fill_seconds : float;
       (** coordinator-side wall time spent capturing demand traces
           (variant instantiation + VM run + event copy) — outside
           [eval_seconds] *)
-  db_hits : int;  (** points served from the persistent database *)
-  warm_starts : int;  (** transferred warm-start seeds *)
-  sampled : int;  (** fresh evaluations measured as sampled estimates *)
-  batched_groups : int;  (** sweep groups measured by multi-plan replay *)
-  batched_candidates : int;  (** candidates covered by those groups *)
-  repriced : int;
+  mutable db_hits : int;  (** points served from the persistent database *)
+  mutable warm_starts : int;  (** transferred warm-start seeds *)
+  mutable sampled : int;  (** fresh evaluations measured as sampled estimates *)
+  mutable batched_groups : int;
+      (** sweep groups measured by multi-plan replay *)
+  mutable batched_candidates : int;  (** candidates covered by those groups *)
+  mutable repriced : int;
       (** candidates priced by the incremental repricer, never replayed *)
-  repriced_joint : int;
+  mutable repriced_joint : int;
       (** the subset of [repriced] priced by the joint multi-array
           slack model (more than one array's distance varied) *)
-  confirmed : int;  (** exact leaderboard confirmations run *)
-  confirm_skipped : int;
+  mutable confirmed : int;  (** exact leaderboard confirmations run *)
+  mutable confirm_skipped : int;
       (** leaderboard confirmations skipped by the adaptive policy *)
 }
 
+(** A snapshot of the engine's counters: later evaluations do not
+    change it. *)
 val stats : t -> stats
 
 (** The nonzero typed-failure counters, as [(label, count)] pairs. *)

@@ -2,7 +2,6 @@ type outcome = {
   variant : Variant.t;
   bindings : (string * int) list;
   prefetch : (string * int) list;
-  program : Ir.Program.t;
   measurement : Executor.measurement;
 }
 
@@ -41,7 +40,6 @@ let consider st ~bindings ~prefetch (ev : Engine.evaluation) =
       variant = st.variant;
       bindings;
       prefetch;
-      program = ev.Engine.program;
       measurement = ev.Engine.measurement;
     }
   in
@@ -105,9 +103,9 @@ let set_params bindings updates =
    (the model's initial point: the footprint heuristic saturates the
    capacity constraints).  Pure constraint arithmetic — no simulation,
    so it does not go through the engine. *)
-let initial_uniform st stage bindings =
+let uniform variant ~n stage bindings =
   let feasible_at m =
-    Variant.feasible st.variant ~n:st.n
+    Variant.feasible variant ~n
       (set_params bindings (List.map (fun p -> (p, m)) stage))
   in
   let rec grow m = if m * 2 <= 4096 && feasible_at (m * 2) then grow (m * 2) else m in
@@ -123,6 +121,8 @@ let initial_uniform st stage bindings =
     let m = grow 1 in
     (* try to push between m and 2m *)
     Some (if feasible_at (m * 2) then m * 2 else refine m (m * 2))
+
+let initial_uniform st = uniform st.variant ~n:st.n
 
 let halve v = max 1 (v / 2)
 
@@ -698,11 +698,7 @@ let confirm_exact st ~quota =
         | Some ev ->
           Engine.note_confirmed st.engine ?log:st.log ();
           Some
-            ( {
-                o with
-                program = ev.Engine.program;
-                measurement = ev.Engine.measurement;
-              },
+            ( { o with measurement = ev.Engine.measurement },
               score st ev.Engine.measurement )
         | None -> None)
       kept
@@ -933,21 +929,7 @@ let polish_winner engine ~n ~mode ?log (o : outcome) =
 
 let model_point _machine ~n variant =
   (* Pure constraint arithmetic — no engine, no simulation. *)
-  let feasible_at bindings = Variant.feasible variant ~n bindings in
-  let uniform stage bindings =
-    let at m = feasible_at (set_params bindings (List.map (fun p -> (p, m)) stage)) in
-    let rec grow m = if m * 2 <= 4096 && at (m * 2) then grow (m * 2) else m in
-    let rec refine lo hi =
-      if hi - lo <= 1 then if at hi then hi else lo
-      else
-        let mid = (lo + hi) / 2 in
-        if at mid then refine mid hi else refine lo mid
-    in
-    if not (at 1) then None
-    else
-      let m = grow 1 in
-      Some (if at (m * 2) then m * 2 else refine m (m * 2))
-  in
+  let uniform = uniform variant ~n in
   let unroll_params = List.map snd variant.Variant.unrolls in
   let tile_params = List.map snd variant.Variant.tiles in
   let start = List.map (fun p -> (p, 1)) (unroll_params @ tile_params) in

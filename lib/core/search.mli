@@ -29,11 +29,13 @@
     with [Energy] the search minimizes the modelled energy of the
     measurement instead. *)
 
+(** A searched point and its measurement.  The search steers by
+    measurements alone and keeps no program: {!Engine.build} makes the
+    program of a point, and {!Eco.result} carries the winner's. *)
 type outcome = {
   variant : Variant.t;
   bindings : (string * int) list;
   prefetch : (string * int) list;
-  program : Ir.Program.t;  (** instantiated, with prefetches applied *)
   measurement : Executor.measurement;
 }
 

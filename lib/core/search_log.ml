@@ -64,36 +64,3 @@ let best t =
   | [] -> None
   | e :: rest ->
     Some (List.fold_left (fun acc e -> if e.cycles < acc.cycles then e else acc) e rest)
-
-let pp_bindings fmt bindings =
-  Format.pp_print_string fmt
-    (String.concat " "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) bindings))
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%d points in %.2fs (%d cache hits excluded, %d pruned by constraints, %d \
-     failed%s)@."
-    (points t) (seconds t) (hits t) (pruned t) (failed t)
-    ((if prefiltered t > 0 then
-        Printf.sprintf ", %d pre-filtered by the model" (prefiltered t)
-      else "")
-    ^ (if db_hits t > 0 then
-         Printf.sprintf ", %d served from the performance database" (db_hits t)
-       else "")
-    ^ (if warm_starts t > 0 then
-         Printf.sprintf ", %d transferred warm-start seeds" (warm_starts t)
-       else "")
-    ^ (if repriced t > 0 then
-         Printf.sprintf ", %d re-priced incrementally" (repriced t)
-       else "")
-    ^
-    if confirm_skipped t > 0 then
-      Printf.sprintf ", %d leaderboard confirms skipped adaptively"
-        (confirm_skipped t)
-    else "");
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  %s %a pref[%a] -> %.0f cycles (%.1f MFLOPS)@."
-        e.variant pp_bindings e.bindings pp_bindings e.prefetch e.cycles e.mflops)
-    (entries t)

@@ -108,4 +108,3 @@ val confirm_skipped : t -> int
 val seconds : t -> float
 
 val best : t -> entry option
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,7 @@ let run ?mode ?sizes ?tune_n machine =
   let kernel = Kernels.Jacobi3d.kernel in
   let engine = Core.Engine.create machine in
   let eco = Core.Eco.optimize_with ~mode engine kernel ~n:tune_n in
-  let program = eco.Core.Eco.outcome.Core.Search.program in
+  let program = eco.Core.Eco.program in
   let padded =
     Transform.Pad.apply_all program ~amount:(Transform.Pad.default_amount machine)
   in

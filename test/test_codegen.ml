@@ -282,7 +282,7 @@ let test_c_tuned_variant () =
       Matmul.kernel ~n:24
   in
   compile_and_check ~test_name:"tuned_mm" Matmul.kernel
-    r.Core.Eco.outcome.Core.Search.program 17
+    r.Core.Eco.program 17
 
 let test_c_jacobi_rotation () =
   let p = Jacobi3d.kernel.Kernel.program in

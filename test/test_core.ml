@@ -415,7 +415,7 @@ let test_eco_matvec () =
 let test_eco_optimized_code_is_correct () =
   let r = Core.Eco.optimize ~mode:fast_mode sgi Matmul.kernel ~n:32 in
   let got =
-    Ir.Exec.run ~params:[ ("n", 17) ] r.Core.Eco.outcome.Core.Search.program
+    Ir.Exec.run ~params:[ ("n", 17) ] r.Core.Eco.program
   in
   let want = Kernel.run_original Matmul.kernel 17 in
   let gc = List.assoc "c" got.Ir.Exec.arrays in

@@ -179,6 +179,50 @@ let test_measure_program_memoizes () =
   Alcotest.(check int) "two fresh" 2 s.Core.Engine.fresh;
   Alcotest.(check int) "one hit" 1 s.Core.Engine.hits
 
+(* --- malformed programs --- *)
+
+(* A prefetch distance below 1 has no program, so the candidate fails
+   as a malformed program whether it comes in a sweep group or alone
+   next to a cached demand trace; the rest of its group is still
+   measured by one walk. *)
+let test_distance_below_one_is_malformed () =
+  let v = variant () in
+  let n = 48 in
+  let bindings = some_point (Core.Engine.create sgi) v ~n in
+  let a =
+    match
+      Transform.Prefetch_insert.candidates
+        (Core.Variant.instantiate v ~bindings)
+    with
+    | a :: _ -> a
+    | [] -> Alcotest.fail "expected a prefetch candidate"
+  in
+  let req d =
+    Core.Engine.request v ~n ~mode:fast ~bindings ~prefetch:[ (a, d) ]
+  in
+  let check_malformed what engine =
+    match Core.Engine.explain engine (req 0) with
+    | `Failed Core.Engine.Malformed_program -> ()
+    | _ -> Alcotest.failf "%s: expected a malformed program" what
+  in
+  let grouped = Core.Engine.create sgi in
+  (match Core.Engine.evaluate_batch grouped [ req 0; req 2; req 4 ] with
+  | [ None; Some _; Some _ ] -> ()
+  | _ -> Alcotest.fail "expected only the distance-0 plan to fail");
+  check_malformed "in a batch" grouped;
+  let s = Core.Engine.stats grouped in
+  Alcotest.(check int) "one group" 1 s.Core.Engine.batched_groups;
+  Alcotest.(check int) "of the other two plans" 2
+    s.Core.Engine.batched_candidates;
+  Alcotest.(check int) "one malformed failure" 1
+    s.Core.Engine.failed_malformed;
+  (* Alone, with the point's demand trace already captured. *)
+  let lone = Core.Engine.create sgi in
+  ignore (Core.Engine.evaluate_batch lone [ req 2; req 4 ]);
+  Alcotest.(check bool) "a lone request fails" true
+    (Core.Engine.evaluate lone (req 0) = None);
+  check_malformed "alone" lone
+
 (* --- persistent performance database --- *)
 
 let temp_db () =
@@ -469,6 +513,8 @@ let suite =
       test_telemetry_adds_up;
     Alcotest.test_case "measure_program memoizes" `Quick
       test_measure_program_memoizes;
+    Alcotest.test_case "distance below 1 is a malformed program" `Quick
+      test_distance_below_one_is_malformed;
     Alcotest.test_case "empty db searches byte-identically" `Quick
       test_empty_db_byte_identical;
     Alcotest.test_case "warm start: jobs=1 = jobs=4" `Quick

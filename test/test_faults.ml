@@ -120,6 +120,22 @@ let test_zero_rate_plan_is_transparent () =
   let s0 = Core.Engine.stats plain and s1 = Core.Engine.stats guarded in
   Alcotest.(check int) "same fresh evaluations" s0.Core.Engine.fresh
     s1.Core.Engine.fresh;
+  (* The same work, counted: the protocol applies per member after the
+     group walk, so it must not change how candidates are grouped,
+     served from the memo or the trace cache, or pruned. *)
+  Alcotest.(check bool) "the plain run batched its sweeps" true
+    (s0.Core.Engine.batched_groups > 0);
+  List.iter
+    (fun (what, count) ->
+      Alcotest.(check int) ("same " ^ what) (count s0) (count s1))
+    [
+      ("memo hits", fun s -> s.Core.Engine.hits);
+      ("pruned", fun s -> s.Core.Engine.pruned);
+      ("batched groups", fun s -> s.Core.Engine.batched_groups);
+      ("batched candidates", fun s -> s.Core.Engine.batched_candidates);
+      ("trace hits", fun s -> s.Core.Engine.trace_hits);
+      ("trace fills", fun s -> s.Core.Engine.trace_fills);
+    ];
   (* Identical samples stop every candidate's trials at the minimum. *)
   Alcotest.(check int) "every candidate stopped early" s1.Core.Engine.fresh
     s1.Core.Engine.early_stops;
@@ -292,8 +308,15 @@ let test_checkpoint_corrupt_file_ignored () =
   Core.Engine.set_checkpoint a ~tag:"t" file;
   ignore (ck_tune a);
   Core.Engine.checkpoint_now a;
+  let b = Core.Engine.create sgi in
   Alcotest.(check bool) "the intact checkpoint loads" true
-    (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"t" file <> None);
+    (Core.Engine.load_checkpoint b ~tag:"t" file <> None);
+  (* The checkpoint holds the whole counter record: the resumed engine
+     reads every counter of the writer, demand-trace ones included. *)
+  let sa = Core.Engine.stats a and sb = Core.Engine.stats b in
+  Alcotest.(check bool) "the writer captured demand traces" true
+    (sa.Core.Engine.trace_fills > 0);
+  Alcotest.(check bool) "every counter restored" true (sa = sb);
   let bytes = In_channel.with_open_bin file In_channel.input_all in
   let flipped = Bytes.of_string bytes in
   let i = String.length bytes / 2 in
@@ -304,14 +327,14 @@ let test_checkpoint_corrupt_file_ignored () =
   (* The same intact checkpoint under the previous format version's
      magic: it must load as a fresh start and never reach the tag
      check, which would refuse it as a different run. *)
-  let magic = "ECO-CHECKPOINT-6\n" in
+  let magic = "ECO-CHECKPOINT-7\n" in
   let body = String.length bytes - String.length magic in
   Alcotest.(check string) "written with the current magic" magic
     (String.sub bytes 0 (String.length magic));
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc
-        ("ECO-CHECKPOINT-5\n" ^ String.sub bytes (String.length magic) body));
-  Alcotest.(check bool) "a version-5 checkpoint means a fresh start" true
+        ("ECO-CHECKPOINT-6\n" ^ String.sub bytes (String.length magic) body));
+  Alcotest.(check bool) "a version-6 checkpoint means a fresh start" true
     (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"another run"
        file
     = None);

@@ -626,8 +626,7 @@ let test_sampled_search_winner_is_exact () =
   Alcotest.(check bool) "estimates were used" true (stats.Core.Engine.sampled > 0);
   (* The committed measurement must equal an exact re-measurement of the
      winning point — never an extrapolated estimate. *)
-  let o = r.Core.Eco.outcome in
-  let program = o.Core.Search.program in
+  let program = r.Core.Eco.program in
   let exact = Core.Executor.measure sgi Matmul.kernel ~n:48 ~mode:fast program in
   Alcotest.(check bool) "winner measured exactly" true
     (Core.Executor.cycles r.Core.Eco.measurement = Core.Executor.cycles exact)

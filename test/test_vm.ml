@@ -315,13 +315,15 @@ let test_engine_paths_agree () =
       Core.Engine.request v ~n ~mode ~bindings ~prefetch:[ (a, 2); (b, 4) ];
     ]
   in
-  (* Each evaluation against the reference measurement of the program
-     it reports. *)
-  let reference (ev : Core.Engine.evaluation) =
-    Core.Executor.measure_reference machine kernel ~n ~mode
-      ev.Core.Engine.program
-  in
   let fast_engine = Core.Engine.create machine in
+  (* Each evaluation against the reference measurement of its request's
+     program. *)
+  let reference r =
+    match Core.Engine.build fast_engine r with
+    | Some program ->
+      Core.Executor.measure_reference machine kernel ~n ~mode program
+    | None -> Alcotest.fail "request did not build"
+  in
   let fast =
     List.map
       (fun r ->
@@ -330,7 +332,7 @@ let test_engine_paths_agree () =
         | None -> Alcotest.fail "evaluation failed")
       requests
   in
-  let slow = List.map reference fast in
+  let slow = List.map reference requests in
   List.iteri
     (fun i (f, s) ->
       check_measurement
@@ -360,13 +362,12 @@ let test_engine_paths_agree () =
   check_int "one grouped trace fill" 1 bstats.Core.Engine.trace_fills;
   (* A later single request at that point walks the cached trace as a
      one-plan group. *)
-  (match
-     Core.Engine.evaluate batch_engine
-       (Core.Engine.request v ~n ~mode ~bindings ~prefetch:[ (a, 8) ])
-   with
+  let single = Core.Engine.request v ~n ~mode ~bindings ~prefetch:[ (a, 8) ] in
+  (match Core.Engine.evaluate batch_engine single with
   | None -> Alcotest.fail "one-plan walk failed"
   | Some ev ->
-    check_measurement "one-plan walk" ev.Core.Engine.measurement (reference ev));
+    check_measurement "one-plan walk" ev.Core.Engine.measurement
+      (reference single));
   check_int "the single request reused the trace"
     (bstats.Core.Engine.trace_hits + 1)
     (Core.Engine.stats batch_engine).Core.Engine.trace_hits

@@ -87,7 +87,7 @@ let test_eco_end_to_end_correct () =
   let n = 14 in
   let got =
     List.assoc "a"
-      (Ir.Exec.run ~params:[ ("n", n) ] r.Core.Eco.outcome.Core.Search.program)
+      (Ir.Exec.run ~params:[ ("n", n) ] r.Core.Eco.program)
         .Ir.Exec.arrays
   in
   let want = Wavefront.reference n in
