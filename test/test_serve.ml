@@ -209,16 +209,20 @@ let notifications meth out =
 let sfield name v = Json.to_string_opt (Json.mem name v)
 let ifield name v = Json.to_int_opt (Json.mem name v)
 
-let tune_line ?(budget = 100_000) ~id ~kernel ~n () =
+let tune_line ?(budget = 100_000) ?prefilter ~id ~kernel ~n () =
   Printf.sprintf
-    "{\"id\":%d,\"method\":\"tune\",\"params\":{\"kernel\":%S,\"n\":%d,\"budget\":%d}}"
+    "{\"id\":%d,\"method\":\"tune\",\"params\":{\"kernel\":%S,\"n\":%d,\"budget\":%d%s}}"
     id kernel n budget
+    (match prefilter with
+    | Some k -> Printf.sprintf ",\"prefilter\":%d" k
+    | None -> "")
 
 (* The reference answer the one-shot pipeline produces for the same
    request — what every daemon path must reproduce. *)
-let reference ~kernel ~n ~budget =
+let reference ?prefilter ~kernel ~n ~budget () =
   let r =
-    Core.Eco.optimize ~mode:(Core.Executor.Budget budget) sgi kernel ~n
+    Core.Eco.optimize ~mode:(Core.Executor.Budget budget) ?prefilter sgi kernel
+      ~n
   in
   let o = r.Core.Eco.outcome in
   ( o.Core.Search.variant.Core.Variant.name,
@@ -236,30 +240,46 @@ let check_matches_reference ~ctx (rvariant, rparams, rperf) result =
   Alcotest.(check (option string)) (ctx ^ ": performance") (Some rperf)
     (sfield "performance" result)
 
+(* Two identical requests interleave on one engine: both answer what
+   the CLI answers, and the repeat is served entirely from the shared
+   memo.  With [prefilter] the pre-filter's skip set must not depend on
+   what the memo already holds, or the repeat would rank a different
+   batch and answer differently. *)
 let test_daemon_tune_and_memo_sharing () =
-  let out =
-    run_daemon
-      [
-        tune_line ~id:1 ~kernel:"matvec" ~n:64 ();
-        tune_line ~id:2 ~kernel:"matvec" ~n:64 ();
-        "{\"id\":9,\"method\":\"status\"}";
-      ]
-  in
-  let r1 = result_of ~id:1 out and r2 = result_of ~id:2 out in
-  Alcotest.(check (option string)) "r1 ok" (Some "ok") (sfield "status" r1);
-  Alcotest.(check (option string)) "r2 ok" (Some "ok") (sfield "status" r2);
-  let reference = reference ~kernel:Kernels.Matvec.kernel ~n:64 ~budget:100_000 in
-  check_matches_reference ~ctx:"session 1" reference r1;
-  check_matches_reference ~ctx:"session 2" reference r2;
-  (* the sessions interleave on one engine: the repeat query is served
-     entirely from the shared memo *)
-  Alcotest.(check bool) "session 1 simulated" true (ifield "fresh" r1 > Some 0);
-  Alcotest.(check (option int)) "repeat query: zero fresh simulations"
-    (Some 0) (ifield "fresh" r2);
-  Alcotest.(check bool) "repeat query: memo hits" true
-    (ifield "hits" r2 > Some 0);
-  Alcotest.(check (option string)) "status answered" (Some "off")
-    (sfield "db" (result_of ~id:9 out))
+  List.iter
+    (fun (kernel, n, prefilter) ->
+      let name = kernel.Kernels.Kernel.name in
+      let ctx =
+        match prefilter with
+        | Some k -> Printf.sprintf "%s n=%d prefilter %d" name n k
+        | None -> Printf.sprintf "%s n=%d" name n
+      in
+      let out =
+        run_daemon
+          [
+            tune_line ?prefilter ~id:1 ~kernel:name ~n ();
+            tune_line ?prefilter ~id:2 ~kernel:name ~n ();
+            "{\"id\":9,\"method\":\"status\"}";
+          ]
+      in
+      let r1 = result_of ~id:1 out and r2 = result_of ~id:2 out in
+      Alcotest.(check (option string)) (ctx ^ ": r1 ok") (Some "ok")
+        (sfield "status" r1);
+      Alcotest.(check (option string)) (ctx ^ ": r2 ok") (Some "ok")
+        (sfield "status" r2);
+      let reference = reference ?prefilter ~kernel ~n ~budget:100_000 () in
+      check_matches_reference ~ctx:(ctx ^ ": session 1") reference r1;
+      check_matches_reference ~ctx:(ctx ^ ": session 2") reference r2;
+      Alcotest.(check bool) (ctx ^ ": session 1 simulated") true
+        (ifield "fresh" r1 > Some 0);
+      Alcotest.(check (option int))
+        (ctx ^ ": repeat query: zero fresh simulations")
+        (Some 0) (ifield "fresh" r2);
+      Alcotest.(check bool) (ctx ^ ": repeat query: memo hits") true
+        (ifield "hits" r2 > Some 0);
+      Alcotest.(check (option string)) (ctx ^ ": status answered") (Some "off")
+        (sfield "db" (result_of ~id:9 out)))
+    [ (Kernels.Matvec.kernel, 64, None); (Kernels.Matmul.kernel, 48, Some 4) ]
 
 let test_daemon_bad_requests () =
   let out =
@@ -351,7 +371,7 @@ let test_daemon_deadline_and_resume () =
       Alcotest.(check bool) "resumed from the partial's checkpoint" true
         (Json.mem "resumed" r2 = Json.Bool true);
       let reference =
-        reference ~kernel:Kernels.Matmul.kernel ~n:96 ~budget:200_000
+        reference ~kernel:Kernels.Matmul.kernel ~n:96 ~budget:200_000 ()
       in
       check_matches_reference ~ctx:"resumed" reference r2)
 
@@ -448,7 +468,7 @@ let test_daemon_recovery_replay () =
         Alcotest.(check (option string)) "replayed to completion" (Some "ok")
           (sfield "status" p);
         let reference =
-          reference ~kernel:Kernels.Matvec.kernel ~n:64 ~budget:100_000
+          reference ~kernel:Kernels.Matvec.kernel ~n:64 ~budget:100_000 ()
         in
         check_matches_reference ~ctx:"recovered" reference p
       | l -> Alcotest.failf "expected 1 recovered notification, got %d"
@@ -494,7 +514,7 @@ let test_daemon_degraded_db () =
       Alcotest.(check (option string)) "tune still ok" (Some "ok")
         (sfield "status" r);
       let reference =
-        reference ~kernel:Kernels.Matvec.kernel ~n:64 ~budget:100_000
+        reference ~kernel:Kernels.Matvec.kernel ~n:64 ~budget:100_000 ()
       in
       check_matches_reference ~ctx:"degraded-db answer" reference r)
 
