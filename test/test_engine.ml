@@ -497,6 +497,135 @@ let test_quarantine_never_persisted () =
   Perfdb.close db2;
   try Sys.remove file with Sys_error _ -> ()
 
+(* --- each search driver's work, pinned -------------------------------- *)
+
+(* One small tune per search driver, with its answer, its work counts
+   and a digest of its fresh points in commit order written down: the
+   default staged search, the armed search the pre-filter selects, the
+   sampled staged search with incremental re-pricing (adaptive
+   confirmation engages), the armed search under sampling, a perfdb
+   transfer warm start, and the noisy-confirmation tail.  Every batch's
+   members and their order feed the pre-filter's ranking, the sweep
+   grouping and the commit order, so a change to any search move shows
+   here even when the winner survives. *)
+let pinned_work kind =
+  let mode = Core.Executor.Budget 50_000 in
+  let engine ?prefilter ?(faults = Faults.none) ?protocol ?sampling () =
+    let e = Core.Engine.create ?prefilter ~faults ?protocol sgi in
+    Core.Engine.set_sampling e sampling;
+    Core.Engine.set_incremental e (sampling <> None);
+    e
+  in
+  let tune e = Core.Eco.optimize_with ~mode e Matmul.kernel ~n:48 in
+  let sampling = Memsim.Sampling.default in
+  let r, e =
+    match kind with
+    | `Staged ->
+      let e = engine () in
+      (tune e, e)
+    | `Armed ->
+      let e = engine ~prefilter:4 () in
+      (tune e, e)
+    | `Sampled ->
+      let e = engine ~sampling () in
+      (tune e, e)
+    | `Armed_sampled ->
+      let e = engine ~prefilter:4 ~sampling () in
+      (tune e, e)
+    | `Warm ->
+      let file = temp_db () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+        (fun () ->
+          let store e ~n =
+            let db = Perfdb.load file in
+            Core.Engine.set_db e db;
+            let r = Core.Eco.optimize_with ~mode e Matmul.kernel ~n in
+            Perfdb.close db;
+            r
+          in
+          ignore (store (engine ()) ~n:40);
+          let e = engine () in
+          (store e ~n:48, e))
+    | `Noisy ->
+      let faults = Faults.make ~seed:11 ~noise:0.05 () in
+      let protocol = { Core.Engine.default_protocol with trials = 3 } in
+      let e = engine ~faults ~protocol () in
+      (tune e, e)
+  in
+  let o = r.Core.Eco.outcome in
+  let pairs ps =
+    String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ps)
+  in
+  let s = Core.Engine.stats e in
+  (* The fresh points in commit order: a reordered batch commits its
+     members in another order even when every count survives. *)
+  let trail =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ";"
+            (List.map
+               (fun (x : Core.Search_log.entry) ->
+                 Printf.sprintf "%s %s | %s" x.Core.Search_log.variant
+                   (pairs x.Core.Search_log.bindings)
+                   (pairs x.Core.Search_log.prefetch))
+               (Core.Search_log.entries r.Core.Eco.log))))
+  in
+  Printf.sprintf
+    "%s %s | %s | %.17g | fresh %d hits %d pruned %d prefiltered %d groups %d \
+     candidates %d repriced %d confirmed %d skipped %d warm %d | trail %s"
+    o.Core.Search.variant.Core.Variant.name (pairs o.Core.Search.bindings)
+    (pairs o.Core.Search.prefetch)
+    (Core.Executor.cycles r.Core.Eco.measurement)
+    s.Core.Engine.fresh s.Core.Engine.hits s.Core.Engine.pruned
+    s.Core.Engine.prefiltered s.Core.Engine.batched_groups
+    s.Core.Engine.batched_candidates s.Core.Engine.repriced
+    s.Core.Engine.confirmed s.Core.Engine.confirm_skipped
+    s.Core.Engine.warm_starts trail
+
+let test_pinned_driver_work () =
+  List.iter
+    (fun (name, kind, expected) ->
+      Alcotest.(check string) name expected (pinned_work kind))
+    [
+      ( "staged",
+        `Staged,
+        "matmul_v12 tj=44 tk=45 ui=1 uj=22 |  | 143387.85168593258 | fresh \
+         154 hits 40 pruned 46 prefiltered 0 groups 12 candidates \
+         72 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         3555164f0ffdba0fdb9e7c4e420c2e14" );
+      ( "armed",
+        `Armed,
+        "matmul_v3 ti=30 tk=26 ui=4 uj=5 | b=2 | 151270.53413863448 | fresh \
+         41 hits 3 pruned 7 prefiltered 111 groups 4 candidates \
+         16 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         eaba433efb68a575eef460277b0920a6" );
+      ( "sampled",
+        `Sampled,
+        "matmul_v6 ti=45 tk=45 ui=1 uj=31 | a=4 | 146882.41910323588 | fresh \
+         206 hits 81 pruned 59 prefiltered 0 groups 20 candidates \
+         105 repriced 48 confirmed 8 skipped 12 warm 0 | trail \
+         a6dc8fc6c76d96ab37333cab56646d7b" );
+      ( "armed sampled",
+        `Armed_sampled,
+        "matmul_v3 ti=16 tk=16 ui=4 uj=4 | a=4 b=2 | 161670.18983240673 | fresh \
+         61 hits 23 pruned 6 prefiltered 115 groups 9 candidates \
+         31 repriced 10 confirmed 5 skipped 0 warm 0 | trail \
+         327582880862306f400d9a162f5902f9" );
+      ( "warm",
+        `Warm,
+        "matmul_v6 ti=40 tk=48 ui=10 uj=2 | a=1 b=8 | 133576.52189912405 | fresh \
+         142 hits 14 pruned 12 prefiltered 0 groups 8 candidates \
+         30 repriced 0 confirmed 0 skipped 0 warm 4 | trail \
+         1ebc40c096b7a19f8c4f0b62db1a0798" );
+      ( "noisy",
+        `Noisy,
+        "matmul_v5 ti=45 tj=44 tk=45 ui=5 uj=4 | b=2 | 135392.82444754502 | fresh \
+         186 hits 44 pruned 44 prefiltered 0 groups 12 candidates \
+         72 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         cae712c129dfae614535bc5fb2d4932f" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "cache hit returns identical measurement" `Quick
@@ -529,4 +658,6 @@ let suite =
       test_sample_db_checkpoint_compose;
     Alcotest.test_case "quarantined candidates never persisted" `Quick
       test_quarantine_never_persisted;
+    Alcotest.test_case "each search driver's work pinned" `Quick
+      test_pinned_driver_work;
   ]
