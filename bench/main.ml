@@ -395,96 +395,6 @@ let emit_eval_json () =
   close_out oc;
   Format.printf "wrote BENCH_eval.json (%d entries)@." (List.length entries)
 
-(* Robustness-layer overhead benchmark: the same guided search on a
-   plain engine and on one carrying the full fault-tolerant protocol
-   with a zero-rate active plan (draws, trials, aggregation — but no
-   perturbation, so the searches are bit-identical).  The eval-seconds
-   delta is the protocol's overhead on candidate evaluation; the
-   acceptance bar is <5%.  Emits BENCH_faults.json. *)
-
-let faults_bench_once ~protocol kernel ~n =
-  let engine =
-    match protocol with
-    | None -> Core.Engine.create Machine.sgi_r10000
-    | Some p ->
-      Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol:p
-        Machine.sgi_r10000
-  in
-  let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
-  (Core.Engine.stats engine, r.Core.Eco.measurement.Core.Executor.mflops)
-
-(* Best of three per side: scheduler jitter on shared machines easily
-   swamps the protocol's real cost, and the minimum wall time is the
-   least contaminated estimate of it.  The six runs alternate plain and
-   protocol, so host drift over the run lands on both sides instead of
-   reading as overhead. *)
-let faults_bench_pair ~protocol kernel ~n =
-  let runs =
-    List.init 3 (fun _ ->
-        let plain = faults_bench_once ~protocol:None kernel ~n in
-        (plain, faults_bench_once ~protocol:(Some protocol) kernel ~n))
-  in
-  let best side =
-    List.fold_left
-      (fun ((bs, _) as b) ((s, _) as r) ->
-        if s.Core.Engine.eval_seconds < bs.Core.Engine.eval_seconds then r
-        else b)
-      (List.hd side) (List.tl side)
-  in
-  (best (List.map fst runs), best (List.map snd runs))
-
-let emit_faults_json () =
-  let protocol = { Core.Engine.default_protocol with trials = 3 } in
-  let entries =
-    List.map
-      (fun ((kernel : Kernels.Kernel.t), n) ->
-        let name = kernel.Kernels.Kernel.name in
-        Format.printf "faults bench: %s n=%d...@." name n;
-        let (plain, plain_mflops), (guarded, guarded_mflops) =
-          faults_bench_pair ~protocol kernel ~n
-        in
-        (* A zero-rate plan must not change the search at all. *)
-        if plain_mflops <> guarded_mflops then
-          Format.printf "WARNING: %s winners differ (%.2f vs %.2f MFLOPS)@."
-            name plain_mflops guarded_mflops;
-        let overhead_pct =
-          if plain.Core.Engine.eval_seconds > 0.0 then
-            (guarded.Core.Engine.eval_seconds
-            -. plain.Core.Engine.eval_seconds)
-            /. plain.Core.Engine.eval_seconds *. 100.0
-          else 0.0
-        in
-        (* Sub-millisecond absolute deltas are wall-clock jitter, not
-           protocol cost — don't let them fail a fast run. *)
-        let overhead_ok =
-          overhead_pct < 5.0
-          || guarded.Core.Engine.eval_seconds -. plain.Core.Engine.eval_seconds
-             < 0.010
-        in
-        Format.printf
-          "  plain: %d evals in %.3fs  protocol: %.3fs (trials=%d)  \
-           overhead %.2f%% ok=%b@."
-          plain.Core.Engine.fresh plain.Core.Engine.eval_seconds
-          guarded.Core.Engine.eval_seconds protocol.Core.Engine.trials
-          overhead_pct overhead_ok;
-        Printf.sprintf
-          "  {\"kernel\": \"%s\", \"n\": %d, \"trials\": %d,\n\
-          \   \"plain_evals\": %d, \"plain_eval_seconds\": %.4f,\n\
-          \   \"protocol_evals\": %d, \"protocol_eval_seconds\": %.4f,\n\
-          \   \"early_stops\": %d, \"winners_agree\": %b,\n\
-          \   \"overhead_pct\": %.2f, \"overhead_ok\": %b}"
-          name n protocol.Core.Engine.trials plain.Core.Engine.fresh
-          plain.Core.Engine.eval_seconds guarded.Core.Engine.fresh
-          guarded.Core.Engine.eval_seconds guarded.Core.Engine.early_stops
-          (plain_mflops = guarded_mflops)
-          overhead_pct overhead_ok)
-      eval_bench_cases
-  in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc ("[\n" ^ String.concat ",\n" entries ^ "\n]\n");
-  close_out oc;
-  Format.printf "wrote BENCH_faults.json (%d entries)@." (List.length entries)
-
 (* Analytical-tier benchmark: how much cheaper is one model prediction
    than one simulation, and what does trusting the model's ranking buy
    (simulations saved at the default top-k) and cost (chosen-point
@@ -596,71 +506,10 @@ let emit_model_json () =
   close_out oc;
   Format.printf "wrote BENCH_model.json (%d entries)@." (List.length entries)
 
-(* Transfer warm-start benchmark: populate a performance database at
-   one problem size and re-search a neighboring size against it.  The
-   acceptance bar is >=30% fewer fresh simulations at <=2% chosen-point
-   degradation on the paper's primary machine.  Emits BENCH_db.json.
-
-   The degradation gate is deliberately ONE-SIDED: degradation_pct < 0
-   means the warm search's chosen point BEAT the cold search's (the
-   transferred frontier starts the descent in a basin the cold staged
-   search misses — the recurring jacobi3d case, e.g. -8% at 64->72).
-   That is a win, not an anomaly, so it passes; only losing more than
-   2% of the cold point's MFLOPS fails the row. *)
-
-let db_bench_machine = Machine.sgi_r10000
-
-let db_bench_cases =
-  [ (Kernels.Matmul.kernel, 128, 160); (Kernels.Jacobi3d.kernel, 64, 72) ]
-
-let emit_db_json () =
-  let entries =
-    List.map
-      (fun ((kernel : Kernels.Kernel.t), n_from, n_to) ->
-        let name = kernel.Kernels.Kernel.name in
-        Format.printf "db bench: %s %d->%d...@." name n_from n_to;
-        let r =
-          Experiments.Transfer.run_one ~mode:eval_bench_mode db_bench_machine
-            kernel ~n_from ~n_to
-        in
-        let warm_ok =
-          r.Experiments.Transfer.saved_pct >= 30.0
-          && r.Experiments.Transfer.degradation_pct <= 2.0
-        in
-        Format.printf
-          "  cold: %d sims (%.1f MFLOPS)  warm: %d sims (%.1f MFLOPS)  \
-           saved %.1f%%  seeds %d  deg %+.2f%%  ok=%b@."
-          r.Experiments.Transfer.sims_cold r.Experiments.Transfer.mflops_cold
-          r.Experiments.Transfer.sims_warm r.Experiments.Transfer.mflops_warm
-          r.Experiments.Transfer.saved_pct r.Experiments.Transfer.warm_seeds
-          r.Experiments.Transfer.degradation_pct warm_ok;
-        Printf.sprintf
-          "  {\"kernel\": \"%s\", \"machine\": \"%s\", \"n_from\": %d, \
-           \"n_to\": %d,\n\
-          \   \"sims_cold\": %d, \"sims_warm\": %d, \"saved_pct\": %.2f,\n\
-          \   \"db_hits\": %d, \"warm_seeds\": %d,\n\
-          \   \"mflops_cold\": %.2f, \"mflops_warm\": %.2f,\n\
-          \   \"degradation_pct\": %.2f, \"warm_ok\": %b}"
-          name db_bench_machine.Machine.name n_from n_to
-          r.Experiments.Transfer.sims_cold r.Experiments.Transfer.sims_warm
-          r.Experiments.Transfer.saved_pct r.Experiments.Transfer.db_hits
-          r.Experiments.Transfer.warm_seeds r.Experiments.Transfer.mflops_cold
-          r.Experiments.Transfer.mflops_warm
-          r.Experiments.Transfer.degradation_pct warm_ok)
-      db_bench_cases
-  in
-  let oc = open_out "BENCH_db.json" in
-  output_string oc ("[\n" ^ String.concat ",\n" entries ^ "\n]\n");
-  close_out oc;
-  Format.printf "wrote BENCH_db.json (%d entries)@." (List.length entries)
-
 let () =
   if Array.exists (( = ) "--eval-bench") Sys.argv then emit_eval_json ()
   else if Array.exists (( = ) "--model-bench") Sys.argv then
     emit_model_json ()
-  else if Array.exists (( = ) "--faults-bench") Sys.argv then
-    emit_faults_json ()
-  else if Array.exists (( = ) "--db-bench") Sys.argv then emit_db_json ()
   else begin
     Format.printf "=== Bechamel micro-benchmarks (one per paper artifact) ===@.";
     run_benchmarks ();
@@ -669,7 +518,5 @@ let () =
     Experiments.Run_all.run_everything ~print:print_endline ();
     emit_search_json (Experiments.Search_cost.run ());
     emit_eval_json ();
-    emit_faults_json ();
-    emit_model_json ();
-    emit_db_json ()
+    emit_model_json ()
   end

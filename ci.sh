@@ -198,15 +198,9 @@ grep -E "^(best variant|parameters|prefetch|performance):" ci_resumed_full.txt \
 cmp ci_clean.txt ci_resumed.txt
 rm -f ci_ck.bin ci_clean.txt ci_faulty.txt ci_resumed.txt ci_resumed_full.txt
 
-# Protocol benchmark: a zero-rate fault plan with 3 trials must find
-# the same winners.  That it does the plain run's work (the same memo
-# hits, pruned points, batched groups and candidates, trace hits and
-# fills) is the `faults zero-rate plan is transparent` test.
-dune exec bench/main.exe -- --faults-bench
-if grep -q '"winners_agree": false' BENCH_faults.json; then
-  echo "faults bench: a guarded search found a different winner"
-  exit 1
-fi
+# That a zero-rate fault plan with 3 trials finds the same winners
+# and does the plain run's work on every kernel is the `faults
+# zero-rate plan is transparent` test.
 
 # --- Persistent performance database -------------------------------------
 
@@ -263,14 +257,9 @@ test "$rc" -eq 1
 rm -f ci_db.bin ci_db_pop.txt ci_db_pop_ans.txt ci_db_replay.txt \
   ci_db_replay_ans.txt ci_db_warm.txt
 
-# Transfer warm-start benchmark: >=30% fewer fresh simulations at <=2%
-# chosen-point degradation on both kernels.
-dune exec bench/main.exe -- --db-bench
-grep -q '"warm_ok": true' BENCH_db.json
-if grep -q '"warm_ok": false' BENCH_db.json; then
-  echo "db bench: a transfer warm-start missed its bar"
-  exit 1
-fi
+# That a transfer warm start saves >=30% of the fresh simulations at
+# <=2% chosen-point degradation is the `transfer: warm start saves
+# simulations` test.
 
 # --- The autotuning service (eco serve) ------------------------------
 rm -rf ci_serve && mkdir -p ci_serve

@@ -144,6 +144,31 @@ let test_run_one_table2 () =
   Experiments.Run_all.run ~print:(fun l -> lines := l :: !lines) "table2";
   Alcotest.(check bool) "printed something" true (List.length !lines > 3)
 
+(* A transfer warm start pays for itself: against a store populated at
+   a neighbouring size, the warm search runs at least 30% fewer fresh
+   simulations than the cold one and loses at most 2% of its MFLOPS.
+   The bound is one-sided — a warm winner that beats the cold one (the
+   transferred frontier lands in a basin the cold search misses) is a
+   win, not a failure. *)
+let test_transfer_warm_start_saves () =
+  List.iter
+    (fun ((kernel : Kernels.Kernel.t), n_from, n_to) ->
+      let r =
+        Experiments.Transfer.run_one ~mode:(Core.Executor.Budget 200_000)
+          Machine.sgi_r10000 kernel ~n_from ~n_to
+      in
+      let ctx =
+        Printf.sprintf "%s %d->%d: %d -> %d sims, %+.2f%% degradation"
+          kernel.Kernels.Kernel.name n_from n_to r.Experiments.Transfer.sims_cold
+          r.Experiments.Transfer.sims_warm
+          r.Experiments.Transfer.degradation_pct
+      in
+      Alcotest.(check bool) (ctx ^ ": saves >= 30%") true
+        (r.Experiments.Transfer.saved_pct >= 30.0);
+      Alcotest.(check bool) (ctx ^ ": degrades <= 2%") true
+        (r.Experiments.Transfer.degradation_pct <= 2.0))
+    [ (Kernels.Matmul.kernel, 128, 160); (Kernels.Jacobi3d.kernel, 64, 72) ]
+
 let suite =
   [
     Alcotest.test_case "table1: row count" `Quick test_table1_row_count;
@@ -163,4 +188,6 @@ let suite =
     Alcotest.test_case "fig5: smoke" `Slow test_fig5_smoke;
     Alcotest.test_case "run_all: names" `Quick test_run_all_names;
     Alcotest.test_case "run_all: table2" `Quick test_run_one_table2;
+    Alcotest.test_case "transfer: warm start saves simulations" `Quick
+      test_transfer_warm_start_saves;
   ]

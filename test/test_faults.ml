@@ -101,45 +101,57 @@ let test_faulty_search_jobs_deterministic () =
 let test_zero_rate_plan_is_transparent () =
   (* An active plan with every rate at zero runs the whole protocol
      (draws, trials, aggregation, adaptive stop) yet must reproduce the
-     plain engine bit for bit. *)
-  let plain = Core.Engine.create sgi in
-  let r0 = Core.Eco.optimize_with ~mode:fast plain Matmul.kernel ~n:32 in
-  let protocol = { Core.Engine.default_protocol with trials = 3 } in
-  let guarded =
-    Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol sgi
-  in
-  let r1 = Core.Eco.optimize_with ~mode:fast guarded Matmul.kernel ~n:32 in
-  Alcotest.(check (float 0.0)) "identical best cycles"
-    (Core.Executor.cycles r0.Core.Eco.measurement)
-    (Core.Executor.cycles r1.Core.Eco.measurement);
-  Alcotest.(check bool) "identical best point" true
-    (r0.Core.Eco.outcome.Core.Search.bindings
-     = r1.Core.Eco.outcome.Core.Search.bindings
-    && r0.Core.Eco.outcome.Core.Search.prefetch
-       = r1.Core.Eco.outcome.Core.Search.prefetch);
-  let s0 = Core.Engine.stats plain and s1 = Core.Engine.stats guarded in
-  Alcotest.(check int) "same fresh evaluations" s0.Core.Engine.fresh
-    s1.Core.Engine.fresh;
-  (* The same work, counted: the protocol applies per member after the
-     group walk, so it must not change how candidates are grouped,
-     served from the memo or the trace cache, or pruned. *)
-  Alcotest.(check bool) "the plain run batched its sweeps" true
-    (s0.Core.Engine.batched_groups > 0);
+     plain engine bit for bit, on every kernel. *)
   List.iter
-    (fun (what, count) ->
-      Alcotest.(check int) ("same " ^ what) (count s0) (count s1))
+    (fun (kernel : Kernels.Kernel.t) ->
+      let name = kernel.Kernels.Kernel.name in
+      let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+      let plain = Core.Engine.create sgi in
+      let r0 = Core.Eco.optimize_with ~mode:fast plain kernel ~n:32 in
+      let protocol = { Core.Engine.default_protocol with trials = 3 } in
+      let guarded =
+        Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol sgi
+      in
+      let r1 = Core.Eco.optimize_with ~mode:fast guarded kernel ~n:32 in
+      Alcotest.(check (float 0.0)) (name ^ ": identical best cycles")
+        (Core.Executor.cycles r0.Core.Eco.measurement)
+        (Core.Executor.cycles r1.Core.Eco.measurement);
+      Alcotest.(check bool) (name ^ ": identical best point") true
+        (r0.Core.Eco.outcome.Core.Search.variant.Core.Variant.name
+         = r1.Core.Eco.outcome.Core.Search.variant.Core.Variant.name
+        && r0.Core.Eco.outcome.Core.Search.bindings
+           = r1.Core.Eco.outcome.Core.Search.bindings
+        && r0.Core.Eco.outcome.Core.Search.prefetch
+           = r1.Core.Eco.outcome.Core.Search.prefetch);
+      let s0 = Core.Engine.stats plain and s1 = Core.Engine.stats guarded in
+      check_int "same fresh evaluations" s0.Core.Engine.fresh
+        s1.Core.Engine.fresh;
+      (* The same work, counted: the protocol applies per member after
+         the group walk, so it must not change how candidates are
+         grouped, served from the memo or the trace cache, or pruned. *)
+      Alcotest.(check bool) (name ^ ": the plain run batched its sweeps") true
+        (s0.Core.Engine.batched_groups > 0);
+      List.iter
+        (fun (what, count) -> check_int ("same " ^ what) (count s0) (count s1))
+        [
+          ("memo hits", fun s -> s.Core.Engine.hits);
+          ("pruned", fun s -> s.Core.Engine.pruned);
+          ("batched groups", fun s -> s.Core.Engine.batched_groups);
+          ("batched candidates", fun s -> s.Core.Engine.batched_candidates);
+          ("trace hits", fun s -> s.Core.Engine.trace_hits);
+          ("trace fills", fun s -> s.Core.Engine.trace_fills);
+        ];
+      (* Identical samples stop every candidate's trials at the minimum. *)
+      check_int "every candidate stopped early" s1.Core.Engine.fresh
+        s1.Core.Engine.early_stops;
+      check_int "no retries" 0 s1.Core.Engine.retries)
     [
-      ("memo hits", fun s -> s.Core.Engine.hits);
-      ("pruned", fun s -> s.Core.Engine.pruned);
-      ("batched groups", fun s -> s.Core.Engine.batched_groups);
-      ("batched candidates", fun s -> s.Core.Engine.batched_candidates);
-      ("trace hits", fun s -> s.Core.Engine.trace_hits);
-      ("trace fills", fun s -> s.Core.Engine.trace_fills);
-    ];
-  (* Identical samples stop every candidate's trials at the minimum. *)
-  Alcotest.(check int) "every candidate stopped early" s1.Core.Engine.fresh
-    s1.Core.Engine.early_stops;
-  Alcotest.(check int) "no retries" 0 s1.Core.Engine.retries
+      Matmul.kernel;
+      Kernels.Jacobi3d.kernel;
+      Kernels.Matvec.kernel;
+      Kernels.Stencil2d.kernel;
+      Kernels.Wavefront.kernel;
+    ]
 
 (* --- retry, quarantine, timeout --- *)
 
