@@ -67,7 +67,7 @@ val infeasibility_code : infeasibility -> string
       [Objective.Cycles], the historical behaviour; [Energy] minimizes
       modelled energy instead).
     @param prefilter analytical pre-filter top-k per batch (default off;
-      see {!Engine.set_prefilter}).
+      see {!Engine.create}).
     @raise No_feasible_variant when no variant has a feasible,
       measurable parameter setting (cannot happen for the bundled
       kernels on a healthy engine). *)

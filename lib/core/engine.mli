@@ -103,18 +103,31 @@ type protocol = {
     clock bound is {!set_deadline}. *)
 val default_protocol : protocol
 
-(** [create ?jobs ?faults ?protocol machine] makes an engine for
-    [machine].  [jobs] defaults to 1 (serial, deterministic evaluation
-    order); [0] selects {!default_jobs}.  [faults] (default
+(** [create ?jobs ?faults ?protocol ?objective ?prefilter machine]
+    makes an engine for [machine].  [jobs] defaults to 1 (serial,
+    deterministic evaluation order); [0] selects
+    [Domain.recommended_domain_count ()].  [faults] (default
     {!Faults.none}) injects seeded measurement faults; [protocol]
     (default {!default_protocol}) configures the resilient measurement
     protocol.  With the defaults — no active fault plan and
     [trials = 1] — measurements are bit-for-bit what they were without
     the robustness layer.
 
-    [objective] (default [Objective.Cycles]) is what pre-filter ranking
-    minimizes; [prefilter] (default off; values < 1 disable) arms the
-    two-stage batch evaluation described at {!set_prefilter}. *)
+    [objective] (default [Objective.Cycles]) is what the search and the
+    pre-filter's ranking minimize.  [prefilter] (default off; values
+    < 1 disable) arms the analytical pre-filter: each {!evaluate_batch}
+    ranks every distinct feasible member of the batch — memo hits
+    included, ties to the earlier position — with {!Predict} under the
+    engine's objective and simulates only the top-k.  Every member
+    outside the top-k returns [None], even when it is memoized, and is
+    counted in {!stats} ([prefiltered]) and via
+    {!Search_log.note_prefiltered}; skipped candidates are {e not}
+    memoized, so a later request can still measure them.  The skipped
+    set is a pure function of the batch: what a shared memo already
+    holds cannot change what a search sees, so results stay
+    bit-identical at any [jobs] and across daemon sessions.
+    Memoization, the fault protocol and checkpointing are
+    unaffected. *)
 val create :
   ?jobs:int ->
   ?faults:Faults.t ->
@@ -124,12 +137,8 @@ val create :
   Machine.t ->
   t
 
-(** [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int
-
 val machine : t -> Machine.t
 val jobs : t -> int
-val faults : t -> Faults.t
 val protocol : t -> protocol
 val objective : t -> Objective.t
 val prefilter : t -> int option
@@ -137,20 +146,6 @@ val prefilter : t -> int option
 (** The default top-k for [--prefilter] without a value: 4, matching
     {!Eco}'s triage width. *)
 val default_prefilter : int
-
-val set_objective : t -> Objective.t -> unit
-
-(** Arm (or, with [None] / values < 1, disarm) the analytical
-    pre-filter: each {!evaluate_batch} ranks its fresh feasible
-    candidates with {!Predict} under the engine's objective and
-    simulates only the top-k.  Skipped candidates return [None], are
-    counted in {!stats} ([prefiltered]) and via
-    {!Search_log.note_prefiltered}, and are {e not} memoized, so a
-    later request can still measure them.  Memoization, the fault
-    protocol and checkpointing are unaffected — and the skipped set is
-    a pure function of the batch, so results stay bit-identical at any
-    [jobs]. *)
-val set_prefilter : t -> int option -> unit
 
 (** {2 Batched, sampled and incremental replay}
 
@@ -191,7 +186,6 @@ val set_prefilter : t -> int option -> unit
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
-val incremental : t -> bool
 val set_incremental : t -> bool -> unit
 
 (** {2 Adaptive confirmation}
@@ -229,12 +223,6 @@ val note_confirmed : t -> ?log:Search_log.t -> unit -> unit
 
 val note_confirm_skipped : t -> ?log:Search_log.t -> unit -> unit
 
-(** Best {e exact} measured cycles across the memo table (sampled
-    estimates excluded), [None] when nothing exact was measured yet.
-    [Search] uses it to decide whether a confirmed winner is close
-    enough to the global floor to be worth exact polishing. *)
-val best_cycles : t -> float option
-
 (** {2 Persistent performance database}
 
     With {!set_db}, the engine gains an exact-hit tier below the memo
@@ -256,12 +244,9 @@ val set_db : t -> ?warm_start:bool -> Perfdb.t -> unit
 
 val db : t -> Perfdb.t option
 
-(** Detach the database (and disable warm-starting): evaluation
-    continues from the in-memory memo alone. *)
-val clear_db : t -> unit
-
-(** Quarantine the store: {!clear_db} plus a recorded reason (first
-    failure wins).  The engine calls this itself on the first database
+(** Quarantine the store: detach it (and disable warm-starting), so
+    evaluation continues from the in-memory memo alone, and record why
+    (first failure wins).  The engine calls this itself on the first database
     append failure; the autotuning daemon calls it when a shared store
     turns out corrupt at load time. *)
 val degrade_db : t -> string -> unit
@@ -457,8 +442,6 @@ val set_yield : t -> (unit -> unit) option -> unit
     interruption point. *)
 val set_deadline : t -> float option -> unit
 
-val deadline : t -> float option
-
 (** {2 Telemetry} *)
 
 (** Cumulative engine-lifetime telemetry: the engine's one counter
@@ -516,9 +499,6 @@ type stats = private {
 (** A snapshot of the engine's counters: later evaluations do not
     change it. *)
 val stats : t -> stats
-
-(** The nonzero typed-failure counters, as [(label, count)] pairs. *)
-val failure_breakdown : stats -> (string * int) list
 
 (** The headline telemetry line ([eco tune]'s [engine:] line); appends
     the failure breakdown and retry count when nonzero. *)
