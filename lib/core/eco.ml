@@ -170,10 +170,8 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
           else acc)
         o rest
     in
-    (* Sampled runs: the adaptive confirmation policy may have deferred
-       the per-variant exact polish; the cross-variant winner gets it
-       here, once.  Memoized evaluations make this free when the
-       per-variant polish already ran. *)
+    (* Sampled runs: the cross-variant winner gets the run's one exact
+       polish here. *)
     let best = Search.polish_winner engine ~n ~mode ~log best in
     (* Persist the run's summary for future transfer warm-starts: the
        chosen point plus the log's fresh evaluations as the frontier

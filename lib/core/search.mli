@@ -15,13 +15,27 @@
       innermost tile (prefetching favours longer streams), re-checking
       the constraints.
 
+    {!tune_variant} picks one of three drivers, each a stage sequence
+    of its own: the staged search above (the default); an {e armed}
+    search when the engine's analytical pre-filter is on, which
+    proposes each stage as one wide grid for the pre-filter to rank,
+    followed by forced anchor points, a capped refinement and a
+    fixed-order prefetch greedy; and a {e warm} start when a
+    performance database offers a nearby recorded search, which
+    measures the transferred points as anchors and refines around the
+    best.  A sampled or noisy search then confirms its leaderboard
+    exactly.  The drivers share one copy of each move: a {e sweep}
+    measures an independent neighbourhood as one engine batch (the
+    shape walk, the linear refinement, a grid, a prefetch sweep), an
+    {e anchor} list measures points one by one, and both keep the
+    earliest best.
+
     Every evaluation goes through the {!Engine}: candidates violating
     the phase-1 constraints are pruned without execution, repeat points
     (across stages, variants, or strategies sharing the engine) are
-    served from its memo table, and the independent candidate
-    neighbourhoods of the shape walk and linear refinement evaluate as
-    batches — in parallel when the engine has [jobs > 1], with identical
-    results either way.
+    served from its memo table, and sweeps evaluate as batches — in
+    parallel when the engine has [jobs > 1], with identical results
+    either way.
 
     Candidates are compared under the engine's {!Objective}
     ({!Engine.objective}): with the default [Cycles] the comparisons are
@@ -49,13 +63,12 @@ val tune_variant :
   Variant.t ->
   outcome option
 
-(** [polish_winner engine ~n ~mode ?log outcome] — final exact polish
-    of the cross-variant winner of a sampled run (capped refinement +
-    prefetch retune at full precision).  When the adaptive confirmation
-    policy shrank the per-variant confirm set, the per-variant polish
-    was deferred to this single call; where it already ran, the
-    neighborhoods replay from the memo and this is nearly free.  A
-    no-op when the engine is not sampling. *)
+(** [polish_winner engine ~n ~mode ?log outcome] — the exact polish of
+    the cross-variant winner of a sampled run, the one polish the run
+    pays (no per-variant polish runs): a capped refinement round, a
+    prefetch retune, and one more round, all at full precision.  It can
+    only improve the answer.  A no-op when the engine is not
+    sampling. *)
 val polish_winner :
   Engine.t ->
   n:int ->
