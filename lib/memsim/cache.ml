@@ -1,176 +1,1 @@
-type t = {
-  sets : int;
-  assoc : int;
-  line_bytes : int;
-  line_shift : int;
-  set_mask : int;
-  tags : int array;  (* sets * assoc; -1 = invalid *)
-  stamps : int array;  (* LRU: larger = more recent *)
-  fills : int array;  (* cycle at which the line's data arrives *)
-  dirty : bool array;
-  mutable tick : int;
-}
-
-type lookup = Hit of int | Miss
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let log2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
-let create (c : Machine.cache) =
-  let lines = c.Machine.size_bytes / c.Machine.line_bytes in
-  let sets = lines / c.Machine.assoc in
-  if not (is_pow2 sets) then
-    invalid_arg
-      (Printf.sprintf "Cache.create: %s has %d sets (must be a power of two)"
-         c.Machine.name sets);
-  if not (is_pow2 c.Machine.line_bytes) then
-    invalid_arg "Cache.create: line size must be a power of two";
-  {
-    sets;
-    assoc = c.Machine.assoc;
-    line_bytes = c.Machine.line_bytes;
-    line_shift = log2 c.Machine.line_bytes;
-    set_mask = sets - 1;
-    tags = Array.make (sets * c.Machine.assoc) (-1);
-    stamps = Array.make (sets * c.Machine.assoc) 0;
-    fills = Array.make (sets * c.Machine.assoc) 0;
-    dirty = Array.make (sets * c.Machine.assoc) false;
-    tick = 0;
-  }
-
-let sets c = c.sets
-let assoc c = c.assoc
-let line_bytes c = c.line_bytes
-let line_of_addr c addr = addr lsr c.line_shift
-
-let lookup c ~now:_ ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    if way >= c.assoc then Miss
-    else
-      let i = base + way in
-      if Array.unsafe_get c.tags i = line then begin
-        c.tick <- c.tick + 1;
-        Array.unsafe_set c.stamps i c.tick;
-        Hit (Array.unsafe_get c.fills i)
-      end
-      else go (way + 1)
-  in
-  go 0
-
-let insert c ~now:_ ~ready ~dirty ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  (* The first invalid way wins outright (any invalid way is as good as
-     another, so scanning on is wasted work); otherwise evict the LRU
-     way, earliest index winning stamp ties. *)
-  let victim = ref (-1) in
-  let lru = ref base in
-  let lru_stamp = ref max_int in
-  let way = ref 0 in
-  while !victim < 0 && !way < c.assoc do
-    let i = base + !way in
-    if c.tags.(i) = -1 then victim := i
-    else begin
-      if c.stamps.(i) < !lru_stamp then begin
-        lru := i;
-        lru_stamp := c.stamps.(i)
-      end;
-      incr way
-    end
-  done;
-  let i = if !victim >= 0 then !victim else !lru in
-  let evicted_dirty = c.tags.(i) <> -1 && c.dirty.(i) in
-  c.tick <- c.tick + 1;
-  c.tags.(i) <- line;
-  c.stamps.(i) <- c.tick;
-  c.fills.(i) <- ready;
-  c.dirty.(i) <- dirty;
-  evicted_dirty
-
-let set_dirty c ~line =
-  (* A line occupies at most one way ([insert] only runs on a miss), so
-     stop at the first match. *)
-  let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    if way < c.assoc then
-      let i = base + way in
-      if c.tags.(i) = line then c.dirty.(i) <- true else go (way + 1)
-  in
-  go 0
-
-let absent = min_int
-
-let access c ~line ~write =
-  (* Fused probe for the batched-replay fast path: [lookup] plus the
-     dirty marking a demand write performs on a hit, without the
-     [lookup] variant allocation.  Returns the fill cycle, or {!absent}
-     on a miss (the caller services and inserts, making the trailing
-     [set_dirty] of the hit path unnecessary there). *)
-  if c.assoc = 1 then begin
-    let i = line land c.set_mask in
-    if Array.unsafe_get c.tags i = line then begin
-      c.tick <- c.tick + 1;
-      Array.unsafe_set c.stamps i c.tick;
-      if write then Array.unsafe_set c.dirty i true;
-      Array.unsafe_get c.fills i
-    end
-    else absent
-  end
-  else if c.assoc = 2 then begin
-    (* Two-way caches (both levels of the R10000 model) probe with two
-       straight-line compares. *)
-    let i = (line land c.set_mask) * 2 in
-    if Array.unsafe_get c.tags i = line then begin
-      c.tick <- c.tick + 1;
-      Array.unsafe_set c.stamps i c.tick;
-      if write then Array.unsafe_set c.dirty i true;
-      Array.unsafe_get c.fills i
-    end
-    else
-      let i = i + 1 in
-      if Array.unsafe_get c.tags i = line then begin
-        c.tick <- c.tick + 1;
-        Array.unsafe_set c.stamps i c.tick;
-        if write then Array.unsafe_set c.dirty i true;
-        Array.unsafe_get c.fills i
-      end
-      else absent
-  end
-  else begin
-    let base = (line land c.set_mask) * c.assoc in
-    let rec go way =
-      if way >= c.assoc then absent
-      else
-        let i = base + way in
-        if Array.unsafe_get c.tags i = line then begin
-          c.tick <- c.tick + 1;
-          Array.unsafe_set c.stamps i c.tick;
-          if write then Array.unsafe_set c.dirty i true;
-          Array.unsafe_get c.fills i
-        end
-        else go (way + 1)
-    in
-    go 0
-  end
-
-let resident c ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    way < c.assoc && (c.tags.(base + way) = line || go (way + 1))
-  in
-  go 0
-
-let reset c =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  Array.fill c.stamps 0 (Array.length c.stamps) 0;
-  Array.fill c.fills 0 (Array.length c.fills) 0;
-  Array.fill c.dirty 0 (Array.length c.dirty) false;
-  c.tick <- 0
-
-let settle c = Array.fill c.fills 0 (Array.length c.fills) 0
-
-let occupancy c =
-  Array.fold_left (fun acc t -> if t <> -1 then acc + 1 else acc) 0 c.tags
+include Hierarchy.Cache

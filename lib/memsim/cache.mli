@@ -1,55 +1,10 @@
 (** One level of set-associative cache with true-LRU replacement,
     write-back/write-allocate, and per-line fill times used to model
-    in-flight software prefetches. *)
+    in-flight software prefetches: {!Hierarchy.Cache}, documented there.
+    The model is defined inside [Hierarchy] so that its probe inlines
+    into the replay loops (dev builds compile every library [-opaque],
+    which stops inlining across modules); this module re-exports it. *)
 
-type t
-
-type lookup = Hit of int  (** cycle at which the line's data is ready *) | Miss
-
-val create : Machine.cache -> t
-
-(** Geometry echoes. *)
-val sets : t -> int
-
-val assoc : t -> int
-val line_bytes : t -> int
-
-(** Line number of a byte address at this level's line size. *)
-val line_of_addr : t -> int -> int
-
-(** [lookup c ~now ~line] probes for [line]; on a hit the LRU state is
-    updated.  Does not allocate on miss. *)
-val lookup : t -> now:int -> line:int -> lookup
-
-(** [insert c ~now ~ready ~dirty ~line] allocates [line], evicting the
-    LRU way.  Returns [true] when a dirty line was evicted (write-back
-    traffic).  [ready] is the cycle at which the fill completes. *)
-val insert : t -> now:int -> ready:int -> dirty:bool -> line:int -> bool
-
-(** Mark a resident line dirty (no-op when absent). *)
-val set_dirty : t -> line:int -> unit
-
-(** Sentinel returned by {!access} on a miss. *)
-val absent : int
-
-(** [access c ~line ~write] fuses {!lookup} with the dirty marking a
-    demand write performs on a hit: on a hit, updates LRU state, marks
-    the line dirty when [write], and returns the fill cycle; on a miss,
-    returns {!absent} and changes nothing (the caller is expected to
-    {!insert} with the right dirty bit).  Equivalent to
-    [lookup]-then-[set_dirty] but allocation-free, with a single-probe
-    path for direct-mapped caches. *)
-val access : t -> line:int -> write:bool -> int
-
-(** [resident c ~line] is true when the line is present (no LRU update). *)
-val resident : t -> line:int -> bool
-
-val reset : t -> unit
-
-(** Mark every resident line's fill as complete (used when counters are
-    rewound between a warm-up pass and a measured pass, so stale future
-    fill times cannot charge phantom stalls). *)
-val settle : t -> unit
-
-(** Number of resident lines (for tests). *)
-val occupancy : t -> int
+include module type of struct
+  include Hierarchy.Cache
+end

@@ -1,21 +1,10 @@
 (** Translation lookaside buffer: fully associative with FIFO
-    replacement (a good match for the R10000's random-replacement TLB at
-    the granularity our experiments observe), with a one-entry MRU fast
-    path. *)
+    replacement and a one-entry MRU fast path: {!Hierarchy.Tlb},
+    documented there.  The model is defined inside [Hierarchy] so that
+    its probe inlines into the replay loops (dev builds compile every
+    library [-opaque], which stops inlining across modules); this module
+    re-exports it. *)
 
-type t
-
-val create : Machine.tlb -> t
-val page_bytes : t -> int
-val page_of_addr : t -> int -> int
-
-(** [access t ~page] is [true] on a hit; on a miss the page is brought
-    in, evicting the oldest entry when full. *)
-val access : t -> page:int -> bool
-
-(** [probe t ~page] checks residency without installing on a miss (used
-    for prefetches, which the R10000 drops on a TLB miss). *)
-val probe : t -> page:int -> bool
-
-val reset : t -> unit
-val occupancy : t -> int
+include module type of struct
+  include Hierarchy.Tlb
+end
