@@ -217,8 +217,9 @@ val rank_quality : t -> kernel:string -> int * int
     (no-op when [pairs = 0]). *)
 val record_rank_sample : t -> kernel:string -> pairs:int -> inversions:int -> unit
 
-(** Count one exact leaderboard confirmation / one adaptively skipped
-    confirmation (called by [Search.confirm_best]). *)
+(** Count one leaderboard confirmation (an exact re-measurement after a
+    sampled search, or a longer re-measurement under noise) / one
+    adaptively skipped confirmation (called by [Search.confirm_best]). *)
 val note_confirmed : t -> ?log:Search_log.t -> unit -> unit
 
 val note_confirm_skipped : t -> ?log:Search_log.t -> unit -> unit
@@ -491,7 +492,7 @@ type stats = private {
   mutable repriced_joint : int;
       (** the subset of [repriced] priced by the joint multi-array
           slack model (more than one array's distance varied) *)
-  mutable confirmed : int;  (** exact leaderboard confirmations run *)
+  mutable confirmed : int;  (** leaderboard confirmations run *)
   mutable confirm_skipped : int;
       (** leaderboard confirmations skipped by the adaptive policy *)
 }

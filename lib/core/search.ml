@@ -515,8 +515,9 @@ let confirmed_best st = function
 (* The post-search confirmation pass: under a noisy fault plan the
    minimum over all measured values is biased low (winner's curse), so
    the leading candidates are re-measured with fresh, longer trials and
-   the winner is chosen on confirmed values.  A no-op on a clean
-   engine. *)
+   the winner is chosen on confirmed values.  Each successful
+   re-measurement counts as one confirmation, as in {!confirm_exact}.
+   A no-op on a clean engine. *)
 let confirm_noisy st =
   if not (Engine.confirming st.engine) then st.best
   else
@@ -529,7 +530,9 @@ let confirm_noisy st =
                (request st ~bindings:o.bindings ~prefetch:o.prefetch)
                ~trials
            with
-           | Some m -> Some ({ o with measurement = m }, score st m)
+           | Some m ->
+             Engine.note_confirmed st.engine ?log:st.log ();
+             Some ({ o with measurement = m }, score st m)
            | None -> None)
          st.top)
 

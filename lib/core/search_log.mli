@@ -59,8 +59,8 @@ val note_warm_start : t -> unit
     (nor memoized — a later request may still measure it). *)
 val note_repriced : t -> unit
 
-(** Count a leaderboard candidate confirmed by an exact re-measurement
-    at the end of a sampled search. *)
+(** Count a leaderboard candidate confirmed by a re-measurement at the
+    end of a sampled search (exact) or a noisy one (longer trials). *)
 val note_confirmed : t -> unit
 
 (** Count a leaderboard candidate whose exact confirmation was skipped
@@ -98,7 +98,8 @@ val warm_starts : t -> int
 (** Candidates priced by the incremental repricer without replay. *)
 val repriced : t -> int
 
-(** Leaderboard candidates confirmed exactly after a sampled search. *)
+(** Leaderboard candidates re-measured after a sampled or noisy
+    search. *)
 val confirmed : t -> int
 
 (** Leaderboard confirmations skipped by the adaptive policy. *)

@@ -622,7 +622,7 @@ let test_pinned_driver_work () =
         `Noisy,
         "matmul_v5 ti=45 tj=44 tk=45 ui=5 uj=4 | b=2 | 135392.82444754502 | fresh \
          186 hits 44 pruned 44 prefiltered 0 groups 12 candidates \
-         72 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         72 repriced 0 confirmed 20 skipped 0 warm 0 | trail \
          cae712c129dfae614535bc5fb2d4932f" );
     ]
 
