@@ -102,7 +102,9 @@ let refill s =
 let take s n =
   if n <= 0 then invalid_arg "Sampling.take: n must be positive";
   if s.left = 0 then refill s;
-  let k = min n s.left in
+  (* An int comparison, not the polymorphic [min]: [take] runs once per
+     replayed run and per prefetch event of a sampled walk. *)
+  let k = if n < s.left then n else s.left in
   s.left <- s.left - k;
   s.n_fed <- s.n_fed + k;
   if s.phase = Measure then s.n_measured <- s.n_measured + k;
