@@ -14,6 +14,17 @@ let trace_budgets (kernel : Kernels.Kernel.t) ~n = function
 
 type timings = { compile_s : float; exec_s : float; sim_s : float }
 
+type work = { mutable vm_events : int; mutable replayed_events : int }
+
+let work () = { vm_events = 0; replayed_events = 0 }
+
+let add_work work ~vm ~replayed =
+  match work with
+  | Some w ->
+    w.vm_events <- w.vm_events + vm;
+    w.replayed_events <- w.replayed_events + replayed
+  | None -> ()
+
 let no_timings = { compile_s = 0.0; exec_s = 0.0; sim_s = 0.0 }
 
 type measurement = {
@@ -138,7 +149,8 @@ let suffix_factor ~warm ~fed =
    measurements cap it at the sampler's trailing period
    ({!Memsim.Sampling.prefix_cap}): the skipped head of the prefix is
    state the windowed estimator never relies on, and on large budgets
-   it dominates the replay cost.  Exact replay always warms in full. *)
+   it dominates the replay cost.  Exact replay always warms in full.
+   Returns the number of events replayed. *)
 let warm_prefix ?sampling hierarchy events ~cut =
   if cut >= 0 then begin
     let start =
@@ -148,13 +160,17 @@ let warm_prefix ?sampling hierarchy events ~cut =
     in
     Memsim.Hierarchy.warm_packed hierarchy events ~pos:start
       ~len:(cut - start);
-    Memsim.Hierarchy.reset_counters hierarchy
+    Memsim.Hierarchy.reset_counters hierarchy;
+    cut - start
   end
+  else 0
 
+(* The measured replay; returns the number of events replayed. *)
 let replay_measured ?sampling hierarchy events ~cut ~n_events =
   match sampling with
   | None ->
-    Memsim.Hierarchy.replay_packed hierarchy events ~pos:0 ~len:n_events
+    Memsim.Hierarchy.replay_packed hierarchy events ~pos:0 ~len:n_events;
+    n_events
   | Some sp ->
     let start = if cut >= 0 then cut else 0 in
     let sampler = Memsim.Sampling.sampler sp in
@@ -163,7 +179,8 @@ let replay_measured ?sampling hierarchy events ~cut ~n_events =
     Memsim.Counters.extrapolate
       (Memsim.Hierarchy.counters hierarchy)
       (Memsim.Sampling.factor sampler
-      *. suffix_factor ~warm:start ~fed:(n_events - start))
+      *. suffix_factor ~warm:start ~fed:(n_events - start));
+    Memsim.Sampling.replayed sampler
 
 (* Compile the program once to bytecode, run it once (recording the
    warm-up cut position), then feed the packed event buffer to the
@@ -171,7 +188,8 @@ let replay_measured ?sampling hierarchy events ~cut ~n_events =
    in budget mode; one VM run plus a prefix replay is equivalent
    because addresses are deterministic — the [vm] differential suite
    checks counters stay bit-identical. *)
-let measure ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program =
+let measure ?sampling ?work machine (kernel : Kernels.Kernel.t) ~n ~mode
+    program =
   let t0 = Unix_time.now () in
   let params = [ (kernel.Kernels.Kernel.size_param, n) ] in
   let register_budget = Machine.available_registers machine in
@@ -184,9 +202,14 @@ let measure ?sampling machine (kernel : Kernels.Kernel.t) ~n ~mode program =
   let r = Ir.Vm.run ?flop_budget ?warm_budget ~events ~marks vm in
   let t2 = Unix_time.now () in
   let hierarchy = pooled_hierarchy machine in
-  warm_prefix ?sampling hierarchy r.Ir.Vm.events ~cut:r.Ir.Vm.cut_events;
-  replay_measured ?sampling hierarchy r.Ir.Vm.events ~cut:r.Ir.Vm.cut_events
-    ~n_events:r.Ir.Vm.n_events;
+  let warmed =
+    warm_prefix ?sampling hierarchy r.Ir.Vm.events ~cut:r.Ir.Vm.cut_events
+  in
+  let measured =
+    replay_measured ?sampling hierarchy r.Ir.Vm.events
+      ~cut:r.Ir.Vm.cut_events ~n_events:r.Ir.Vm.n_events
+  in
+  add_work work ~vm:r.Ir.Vm.n_events ~replayed:(warmed + measured);
   let t3 = Unix_time.now () in
   let timings =
     { compile_s = t1 -. t0; exec_s = t2 -. t1; sim_s = t3 -. t2 }
@@ -199,8 +222,8 @@ let measure_from_trace ?sampling machine kernel ~n ~stats ~events ~n_events
     ~cut =
   let t0 = Unix_time.now () in
   let hierarchy = pooled_hierarchy machine in
-  warm_prefix ?sampling hierarchy events ~cut;
-  replay_measured ?sampling hierarchy events ~cut ~n_events;
+  ignore (warm_prefix ?sampling hierarchy events ~cut);
+  ignore (replay_measured ?sampling hierarchy events ~cut ~n_events);
   let timings = { no_timings with sim_s = Unix_time.now () -. t0 } in
   finish machine kernel ~n
     ~counters:(Memsim.Hierarchy.counters hierarchy)

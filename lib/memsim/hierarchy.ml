@@ -773,8 +773,8 @@ let replay_sampled t sampler buf ~pos ~len =
   let p = ref pos in
   let remaining = ref len in
   while !remaining > 0 do
-    let action, k = Sampling.take sampler !remaining in
-    (match action with
+    let k = Sampling.take sampler !remaining in
+    (match Sampling.action sampler with
     | Sampling.Measure -> replay_packed t buf ~pos:!p ~len:k
     | Sampling.Warm -> warm_packed t buf ~pos:!p ~len:k
     | Sampling.Drop -> ());

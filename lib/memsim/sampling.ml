@@ -63,11 +63,19 @@ type sampler = {
   mutable left : int;
   mutable n_fed : int;
   mutable n_measured : int;
+  mutable n_warmed : int;
 }
 
 let sampler spec =
   let spec = clamp spec in
-  { spec; phase = Measure; left = spec.window; n_fed = 0; n_measured = 0 }
+  {
+    spec;
+    phase = Measure;
+    left = spec.window;
+    n_fed = 0;
+    n_measured = 0;
+    n_warmed = 0;
+  }
 
 (* Advance to the next phase once the current one is exhausted.  With
    [gap = 0] the cursor never leaves Measure (full replay). *)
@@ -99,19 +107,26 @@ let refill s =
     s.phase <- Measure;
     s.left <- s.spec.window
 
+(* [take] runs once per replayed run and per prefetch event of a
+   sampled walk, so it allocates nothing: the run's action is read back
+   with [action], and run lengths are compared as ints, not with the
+   polymorphic [min]. *)
 let take s n =
   if n <= 0 then invalid_arg "Sampling.take: n must be positive";
   if s.left = 0 then refill s;
-  (* An int comparison, not the polymorphic [min]: [take] runs once per
-     replayed run and per prefetch event of a sampled walk. *)
   let k = if n < s.left then n else s.left in
   s.left <- s.left - k;
   s.n_fed <- s.n_fed + k;
-  if s.phase = Measure then s.n_measured <- s.n_measured + k;
-  (s.phase, k)
+  (match s.phase with
+  | Measure -> s.n_measured <- s.n_measured + k
+  | Warm -> s.n_warmed <- s.n_warmed + k
+  | Drop -> ());
+  k
 
+let action s = s.phase
 let fed s = s.n_fed
 let measured s = s.n_measured
+let replayed s = s.n_measured + s.n_warmed
 
 let factor s =
   if s.n_measured = 0 then 1.0 else float_of_int s.n_fed /. float_of_int s.n_measured

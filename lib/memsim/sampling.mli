@@ -69,16 +69,24 @@ type sampler
     window. *)
 val sampler : t -> sampler
 
-(** [take s n] classifies the next run of events: returns the action
-    and how many of the next [n] events (1 <= k <= n) it covers, and
-    advances the cursor past them. *)
-val take : sampler -> int -> action * int
+(** [take s n] classifies the next run of events: returns how many of
+    the next [n] events (1 <= k <= n) it covers, advances the cursor
+    past them, and leaves the run's action in {!action}.  Allocates
+    nothing. *)
+val take : sampler -> int -> int
+
+(** The action of the run the latest {!take} covered. *)
+val action : sampler -> action
 
 (** Events consumed so far. *)
 val fed : sampler -> int
 
 (** Events consumed inside measured windows so far. *)
 val measured : sampler -> int
+
+(** Events consumed in [Measure] or [Warm] runs so far: the ones a
+    replay feeds to the hierarchy. *)
+val replayed : sampler -> int
 
 (** Extrapolation factor [fed / measured] (1.0 before anything was
     measured). *)

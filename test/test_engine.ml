@@ -182,9 +182,10 @@ let test_measure_program_memoizes () =
 (* --- malformed programs --- *)
 
 (* A prefetch distance below 1 has no program, so the candidate fails
-   as a malformed program whether it comes in a sweep group or alone
-   next to a cached demand trace; the rest of its group is still
-   measured by one walk. *)
+   as a malformed program whether it is measured directly, comes next
+   to a re-priced sweep group, or comes alone next to that group's
+   captured demand trace; the rest of its group is still priced by one
+   walk. *)
 let test_distance_below_one_is_malformed () =
   let v = variant () in
   let n = 48 in
@@ -205,9 +206,26 @@ let test_distance_below_one_is_malformed () =
     | `Failed Core.Engine.Malformed_program -> ()
     | _ -> Alcotest.failf "%s: expected a malformed program" what
   in
-  let grouped = Core.Engine.create sgi in
-  (match Core.Engine.evaluate_batch grouped [ req 0; req 2; req 4 ] with
+  let repricing () =
+    let e = Core.Engine.create sgi in
+    Core.Engine.set_incremental e true;
+    e
+  in
+  (* Exact mode measures every candidate directly: no group, no trace. *)
+  let direct = Core.Engine.create sgi in
+  (match Core.Engine.evaluate_batch direct [ req 0; req 2; req 4 ] with
   | [ None; Some _; Some _ ] -> ()
+  | _ -> Alcotest.fail "expected only the distance-0 plan to fail");
+  check_malformed "measured directly" direct;
+  let s = Core.Engine.stats direct in
+  Alcotest.(check int) "no group" 0 s.Core.Engine.batched_groups;
+  Alcotest.(check int) "no trace" 0 s.Core.Engine.trace_fills;
+  Alcotest.(check int) "one malformed failure" 1
+    s.Core.Engine.failed_malformed;
+  (* Under incremental re-pricing the other two plans form one group. *)
+  let grouped = repricing () in
+  (match Core.Engine.evaluate_batch grouped [ req 0; req 2; req 4 ] with
+  | [ None; Some _; _ ] -> ()
   | _ -> Alcotest.fail "expected only the distance-0 plan to fail");
   check_malformed "in a batch" grouped;
   let s = Core.Engine.stats grouped in
@@ -217,8 +235,10 @@ let test_distance_below_one_is_malformed () =
   Alcotest.(check int) "one malformed failure" 1
     s.Core.Engine.failed_malformed;
   (* Alone, with the point's demand trace already captured. *)
-  let lone = Core.Engine.create sgi in
+  let lone = repricing () in
   ignore (Core.Engine.evaluate_batch lone [ req 2; req 4 ]);
+  Alcotest.(check int) "the group captured the trace" 1
+    (Core.Engine.stats lone).Core.Engine.trace_fills;
   Alcotest.(check bool) "a lone request fails" true
     (Core.Engine.evaluate lone (req 0) = None);
   check_malformed "alone" lone
@@ -507,7 +527,9 @@ let test_quarantine_never_persisted () =
    transfer warm start, and the noisy-confirmation tail.  Every batch's
    members and their order feed the pre-filter's ranking, the sweep
    grouping and the commit order, so a change to any search move shows
-   here even when the winner survives. *)
+   here even when the winner survives.  Only the two sampled searches
+   re-price, so only they form sweep groups; the others measure every
+   candidate directly. *)
 let pinned_work kind =
   let mode = Core.Executor.Budget 50_000 in
   let engine ?prefilter ?(faults = Faults.none) ?protocol ?sampling () =
@@ -591,14 +613,14 @@ let test_pinned_driver_work () =
       ( "staged",
         `Staged,
         "matmul_v12 tj=44 tk=45 ui=1 uj=22 |  | 143387.85168593258 | fresh \
-         154 hits 40 pruned 46 prefiltered 0 groups 12 candidates \
-         72 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         154 hits 40 pruned 46 prefiltered 0 groups 0 candidates \
+         0 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
          3555164f0ffdba0fdb9e7c4e420c2e14" );
       ( "armed",
         `Armed,
         "matmul_v3 ti=30 tk=26 ui=4 uj=5 | b=2 | 151270.53413863448 | fresh \
-         41 hits 3 pruned 7 prefiltered 111 groups 4 candidates \
-         16 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
+         41 hits 3 pruned 7 prefiltered 111 groups 0 candidates \
+         0 repriced 0 confirmed 0 skipped 0 warm 0 | trail \
          eaba433efb68a575eef460277b0920a6" );
       ( "sampled",
         `Sampled,
@@ -615,14 +637,14 @@ let test_pinned_driver_work () =
       ( "warm",
         `Warm,
         "matmul_v6 ti=40 tk=48 ui=10 uj=2 | a=1 b=8 | 133576.52189912405 | fresh \
-         142 hits 14 pruned 12 prefiltered 0 groups 8 candidates \
-         30 repriced 0 confirmed 0 skipped 0 warm 4 | trail \
+         142 hits 14 pruned 12 prefiltered 0 groups 0 candidates \
+         0 repriced 0 confirmed 0 skipped 0 warm 4 | trail \
          1ebc40c096b7a19f8c4f0b62db1a0798" );
       ( "noisy",
         `Noisy,
         "matmul_v5 ti=45 tj=44 tk=45 ui=5 uj=4 | b=2 | 135392.82444754502 | fresh \
-         186 hits 44 pruned 44 prefiltered 0 groups 12 candidates \
-         72 repriced 0 confirmed 20 skipped 0 warm 0 | trail \
+         186 hits 44 pruned 44 prefiltered 0 groups 0 candidates \
+         0 repriced 0 confirmed 20 skipped 0 warm 0 | trail \
          cae712c129dfae614535bc5fb2d4932f" );
     ]
 

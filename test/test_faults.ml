@@ -73,11 +73,13 @@ let test_aggregate_trims_outlier () =
 
 (* --- determinism of the full search under injected faults --- *)
 
-(* (answer, telemetry, batched groups) of a noisy search. *)
-let noisy_tune ~jobs =
+(* (answer, telemetry, batched groups) of a noisy search, measured
+   directly or, with [incremental], re-pricing its sweep groups. *)
+let noisy_tune ?(incremental = false) ~jobs () =
   let faults = Faults.make ~seed:13 ~noise:0.05 ~transient:0.05 ~hang:0.02 () in
   let protocol = { Core.Engine.default_protocol with trials = 5 } in
   let engine = Core.Engine.create ~jobs ~faults ~protocol sgi in
+  Core.Engine.set_incremental engine incremental;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:32 in
   let o = r.Core.Eco.outcome in
   let s = Core.Engine.stats engine in
@@ -89,29 +91,41 @@ let noisy_tune ~jobs =
     s.Core.Engine.batched_groups )
 
 let test_faulty_search_jobs_deterministic () =
-  let a1, t1, g1 = noisy_tune ~jobs:1 in
-  let a4, t4, g4 = noisy_tune ~jobs:4 in
+  let a1, t1, g1 = noisy_tune ~jobs:1 () in
+  let a4, t4, g4 = noisy_tune ~jobs:4 () in
   Alcotest.(check bool) "jobs 1 and 4 under faults: same answer" true (a1 = a4);
   Alcotest.(check bool) "same telemetry at jobs 1 and 4" true (t1 = t4);
-  (* The protocol applies per member after the group walk, so sweeps
-     stay batched under an active plan with repeated trials. *)
-  Alcotest.(check bool) "sweeps batched under the protocol" true
+  Alcotest.(check bool) "every candidate measured directly" true
+    (g1 = 0 && g4 = 0);
+  (* The protocol applies per member after a re-priced group's walk, so
+     sweeps stay grouped under an active plan with repeated trials. *)
+  let a1, t1, g1 = noisy_tune ~incremental:true ~jobs:1 () in
+  let a4, t4, g4 = noisy_tune ~incremental:true ~jobs:4 () in
+  Alcotest.(check bool) "re-priced: same answer at jobs 1 and 4" true (a1 = a4);
+  Alcotest.(check bool) "re-priced: same telemetry at jobs 1 and 4" true
+    (t1 = t4);
+  Alcotest.(check bool) "sweeps grouped under the protocol" true
     (g1 > 0 && g4 > 0)
 
 let test_zero_rate_plan_is_transparent () =
   (* An active plan with every rate at zero runs the whole protocol
      (draws, trials, aggregation, adaptive stop) yet must reproduce the
-     plain engine bit for bit, on every kernel. *)
+     plain engine bit for bit, on every kernel, whether candidates are
+     measured directly or sweep groups are re-priced. *)
   List.iter
-    (fun (kernel : Kernels.Kernel.t) ->
-      let name = kernel.Kernels.Kernel.name in
+    (fun ((kernel : Kernels.Kernel.t), incremental) ->
+      let name =
+        kernel.Kernels.Kernel.name ^ if incremental then " re-priced" else ""
+      in
       let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
       let plain = Core.Engine.create sgi in
+      Core.Engine.set_incremental plain incremental;
       let r0 = Core.Eco.optimize_with ~mode:fast plain kernel ~n:32 in
       let protocol = { Core.Engine.default_protocol with trials = 3 } in
       let guarded =
         Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol sgi
       in
+      Core.Engine.set_incremental guarded incremental;
       let r1 = Core.Eco.optimize_with ~mode:fast guarded kernel ~n:32 in
       Alcotest.(check (float 0.0)) (name ^ ": identical best cycles")
         (Core.Executor.cycles r0.Core.Eco.measurement)
@@ -128,8 +142,11 @@ let test_zero_rate_plan_is_transparent () =
         s1.Core.Engine.fresh;
       (* The same work, counted: the protocol applies per member after
          the group walk, so it must not change how candidates are
-         grouped, served from the memo or the trace cache, or pruned. *)
-      Alcotest.(check bool) (name ^ ": the plain run batched its sweeps") true
+         grouped, served from the memo or the trace cache, re-priced or
+         pruned.  Only re-pricing forms groups. *)
+      Alcotest.(check bool)
+        (name ^ ": the plain run grouped its sweeps iff it re-priced")
+        incremental
         (s0.Core.Engine.batched_groups > 0);
       List.iter
         (fun (what, count) -> check_int ("same " ^ what) (count s0) (count s1))
@@ -138,6 +155,7 @@ let test_zero_rate_plan_is_transparent () =
           ("pruned", fun s -> s.Core.Engine.pruned);
           ("batched groups", fun s -> s.Core.Engine.batched_groups);
           ("batched candidates", fun s -> s.Core.Engine.batched_candidates);
+          ("re-priced", fun s -> s.Core.Engine.repriced);
           ("trace hits", fun s -> s.Core.Engine.trace_hits);
           ("trace fills", fun s -> s.Core.Engine.trace_fills);
         ];
@@ -145,13 +163,15 @@ let test_zero_rate_plan_is_transparent () =
       check_int "every candidate stopped early" s1.Core.Engine.fresh
         s1.Core.Engine.early_stops;
       check_int "no retries" 0 s1.Core.Engine.retries)
-    [
-      Matmul.kernel;
-      Kernels.Jacobi3d.kernel;
-      Kernels.Matvec.kernel;
-      Kernels.Stencil2d.kernel;
-      Kernels.Wavefront.kernel;
-    ]
+    (List.concat_map
+       (fun k -> [ (k, false); (k, true) ])
+       [
+         Matmul.kernel;
+         Kernels.Jacobi3d.kernel;
+         Kernels.Matvec.kernel;
+         Kernels.Stencil2d.kernel;
+         Kernels.Wavefront.kernel;
+       ])
 
 (* --- retry, quarantine, timeout --- *)
 
@@ -237,11 +257,11 @@ let answer (r : Core.Eco.result) =
     o.Core.Search.prefetch,
     Core.Executor.cycles r.Core.Eco.measurement )
 
-(* Kill/resume on engines from [make]: the plain engine, and a guarded
-   one (value-preserving plan, 3 trials) whose sweep groups are batched,
-   so the kill and the last checkpoint before it land among the commits
-   of one group. *)
-let kill_resume ~limit make =
+(* Kill/resume on engines from [make]: the plain engine, which measures
+   every candidate directly, and a guarded one (value-preserving plan,
+   3 trials) re-pricing its sweep groups, so the kill and the last
+   checkpoint before it land among the commits of one group. *)
+let kill_resume ~limit ~grouped make =
   let file = Filename.temp_file "eco_ck" ".bin" in
   let tag = "test|matmul|n=32" in
   (* A run killed mid-search (after [limit] fresh evaluations,
@@ -252,7 +272,8 @@ let kill_resume ~limit make =
   (match ck_tune a with
   | exception Core.Engine.Eval_limit_reached l when l = limit -> ()
   | _ -> Alcotest.fail "expected the injected kill");
-  Alcotest.(check bool) "a sweep group was batched before the kill" true
+  Alcotest.(check bool) "a sweep group was batched before the kill iff \
+     grouping" grouped
     ((Core.Engine.stats a).Core.Engine.batched_groups > 0);
   (* ...must resume from its checkpoint and finish with the exact
      answer and telemetry of an uninterrupted run. *)
@@ -285,12 +306,16 @@ let kill_resume ~limit make =
   Sys.remove file
 
 let test_checkpoint_kill_resume_equivalence () =
-  kill_resume ~limit:25 (fun () -> Core.Engine.create sgi);
-  kill_resume ~limit:29 (fun () ->
-      Core.Engine.create
-        ~faults:(Faults.make ~seed:7 ~transient:0.05 ~hang:0.02 ())
-        ~protocol:{ Core.Engine.default_protocol with trials = 3 }
-        sgi)
+  kill_resume ~limit:25 ~grouped:false (fun () -> Core.Engine.create sgi);
+  kill_resume ~limit:29 ~grouped:true (fun () ->
+      let e =
+        Core.Engine.create
+          ~faults:(Faults.make ~seed:7 ~transient:0.05 ~hang:0.02 ())
+          ~protocol:{ Core.Engine.default_protocol with trials = 3 }
+          sgi
+      in
+      Core.Engine.set_incremental e true;
+      e)
 
 let test_checkpoint_tag_mismatch_refuses () =
   let file = Filename.temp_file "eco_ck" ".bin" in
@@ -317,6 +342,7 @@ let test_checkpoint_corrupt_file_ignored () =
   (* A real checkpoint with one payload byte flipped fails the digest
      the writer patched in after streaming the payload. *)
   let a = Core.Engine.create sgi in
+  Core.Engine.set_incremental a true;
   Core.Engine.set_checkpoint a ~tag:"t" file;
   ignore (ck_tune a);
   Core.Engine.checkpoint_now a;
@@ -324,7 +350,8 @@ let test_checkpoint_corrupt_file_ignored () =
   Alcotest.(check bool) "the intact checkpoint loads" true
     (Core.Engine.load_checkpoint b ~tag:"t" file <> None);
   (* The checkpoint holds the whole counter record: the resumed engine
-     reads every counter of the writer, demand-trace ones included. *)
+     reads every counter of the writer, the re-pricer's demand-trace
+     ones included. *)
   let sa = Core.Engine.stats a and sb = Core.Engine.stats b in
   Alcotest.(check bool) "the writer captured demand traces" true
     (sa.Core.Engine.trace_fills > 0);
@@ -339,14 +366,14 @@ let test_checkpoint_corrupt_file_ignored () =
   (* The same intact checkpoint under the previous format version's
      magic: it must load as a fresh start and never reach the tag
      check, which would refuse it as a different run. *)
-  let magic = "ECO-CHECKPOINT-7\n" in
+  let magic = "ECO-CHECKPOINT-8\n" in
   let body = String.length bytes - String.length magic in
   Alcotest.(check string) "written with the current magic" magic
     (String.sub bytes 0 (String.length magic));
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc
-        ("ECO-CHECKPOINT-6\n" ^ String.sub bytes (String.length magic) body));
-  Alcotest.(check bool) "a version-6 checkpoint means a fresh start" true
+        ("ECO-CHECKPOINT-7\n" ^ String.sub bytes (String.length magic) body));
+  Alcotest.(check bool) "a version-7 checkpoint means a fresh start" true
     (Core.Engine.load_checkpoint (Core.Engine.create sgi) ~tag:"another run"
        file
     = None);
