@@ -13,7 +13,13 @@
     - the default address-only mode allocates no float storage and
       performs no arithmetic: it emits the packed access-event stream
       (encoding of {!Sink.pack}) plus {!Exec.stats}, which is all a
-      measurement needs;
+      measurement needs.  Each innermost loop compiles to one leaf-loop
+      instruction: its touches' packed events are evaluated once at
+      loop entry and advanced by a per-iteration stride, and the
+      counters move once per run of iterations; the iteration whose
+      flops cross the warm-up or flop budget runs statement by
+      statement, so events, cut, marks and stats are those of the
+      general loop;
     - [~compute:true] additionally interprets the floating-point
       semantics on a value stack (arrays re-initialized from pristine
       masters on every run), used by the differential tests to compare
