@@ -50,7 +50,10 @@ let capture ?work machine (kernel : Kernels.Kernel.t) ~n ~(mode : Executor.mode)
   let line_elems = Machine.line_elems machine 0 in
   let vm = Ir.Vm.compile ~marks:true ~register_budget ~params program in
   let flop_budget, warm_budget = Executor.trace_budgets kernel ~n mode in
-  let r = Ir.Vm.run ?flop_budget ?warm_budget vm in
+  (* The domain's pooled buffers, not fresh ones grown by doubling; the
+     trace cache keeps the copies made below. *)
+  let events, marks = Executor.pooled_buffers () in
+  let r = Ir.Vm.run ?flop_budget ?warm_budget ~events ~marks vm in
   Executor.add_work work ~vm:r.Ir.Vm.n_events ~replayed:0;
   let mark_slots = Ir.Vm.mark_slots vm in
   let placements, _ =
@@ -157,10 +160,11 @@ let capture ?work machine (kernel : Kernels.Kernel.t) ~n ~(mode : Executor.mode)
   }
 
 (* Per-iteration emission table of [plan]: for each mark id, the
-   [(base, terms, bucket)] prefetch emissions in stream order (see the
-   ordering comment in [synthesize]).  [bucket] is the slack bucket the
-   incremental repricer assigned to the emission's array in [track]
-   (-1 = untracked). *)
+   [(base, terms, bucket)] prefetch emissions in stream order.  [apply]
+   is folded over the plan in ascending order and prepends to the body,
+   so the last-applied (greatest) array's prefetches come first.
+   [bucket] is the slack bucket the incremental re-pricer assigned to
+   the emission's array in [track] (-1 = untracked). *)
 let emit_table t ~plan ~track =
   Array.map
     (fun site ->
@@ -181,40 +185,19 @@ let emit_table t ~plan ~track =
            plan))
     t.sites
 
-(* Number of innermost-loop iteration records in the captured trace —
-   the granularity at which a prefetch distance shifts an emission. *)
-let iterations t =
-  let marks = t.marks in
-  let n_marks = Array.length marks in
-  let n = ref 0 in
-  let pos = ref 0 in
-  while !pos < n_marks do
-    incr n;
-    pos := !pos + t.mark_width.(marks.(!pos))
+(* The packed value of one emission at the mark record starting at
+   [pos]. *)
+let[@inline] emission marks pos (base, terms, _) =
+  let v = ref base in
+  for k = 0 to Array.length terms - 1 do
+    let field, coeff = terms.(k) in
+    v := !v + (coeff * marks.(pos + 2 + field))
   done;
-  !n
+  !v
 
 let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
   Ir.Vm.Buf.clear into;
-  (* Per-iteration emission list per mark id: [apply] is folded over the
-     plan in ascending order and prepends to the body, so the
-     last-applied (greatest) array's prefetches come first. *)
-  let emit =
-    Array.map
-      (fun site ->
-        let site = Array.to_list site in
-        Array.concat
-          (List.rev_map
-             (fun (a, d) ->
-               match List.assoc_opt a site with
-               | None -> [||]
-               | Some reps ->
-                 Array.map
-                   (fun rep -> (rep.rconst + (rep.vcoef * d), rep.rterms))
-                   reps)
-             plan))
-      t.sites
-  in
+  let emit = emit_table t ~plan ~track:[] in
   let events = t.events and marks = t.marks in
   let n_events = Array.length events and n_marks = Array.length marks in
   let cut = ref (-1) in
@@ -231,13 +214,7 @@ let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
     prev := epos;
     let ems = emit.(id) in
     for e = 0 to Array.length ems - 1 do
-      let base, terms = ems.(e) in
-      let v = ref base in
-      for k = 0 to Array.length terms - 1 do
-        let field, coeff = terms.(k) in
-        v := !v + (coeff * marks.(!pos + 2 + field))
-      done;
-      Ir.Vm.Buf.push into !v
+      Ir.Vm.Buf.push into (emission marks !pos ems.(e))
     done;
     pos := !pos + t.mark_width.(id)
   done;
@@ -248,236 +225,17 @@ let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
   done;
   !cut
 
-(* --- Batched multi-plan replay --------------------------------------
-
-   The prefetch sweep's K candidates share this trace; instead of
-   synthesizing K buffers and replaying each, walk the marks ONCE and
-   feed each plan's event stream to its own hierarchy as it is
-   reconstructed: shared demand segments go through
-   [Hierarchy.Batch.replay_all] (one pass over the buffer, K flat
-   counter states), per-plan prefetch events are computed and
-   dispatched individually.  Each plan's per-event sequence is exactly
-   its [synthesize] output, so counters after [Batch.sync] are
-   bit-identical to the per-plan reference, [synthesize] plus
-   [Executor.measure_from_trace] (the replay test suite checks this).
-   The engine walks every candidate with a captured trace this way,
-   K = 1 included. *)
-
-(* Walk the warm-up region (marks [0, cut_marks) plus the trailing
-   demand events up to [cut_events]) state-only, then settle.  Returns
-   each plan's warm-up event count — the position its [synthesize]d
-   stream would report as the cut: the shared demand prefix plus that
-   plan's prefetch emissions over the warm marks.  Sampled measurement
-   extrapolates by [Executor.suffix_factor] of exactly this count, so
-   walked and reference estimates stay bit-identical.
-
-   [?cap] (sampled mode, {!Memsim.Sampling.prefix_cap}): feed only each
-   plan's trailing [cap] synthesized warm-up events to the hierarchy,
-   skipping the cold head outright — the same positions the reference's
-   [Executor.warm_prefix] feeds, so capped walked state matches capped
-   reference state bit-for-bit.  The returned counts are the full cut
-   positions either way (the extrapolation arithmetic is about stream
-   positions, not replay work); [fed] counts the events actually fed. *)
-let warm_walk ?cap t b emits ~fed =
-  let k = Memsim.Hierarchy.Batch.size b in
-  let counts = Array.make k 0 in
-  if t.cut_events >= 0 then begin
-    let events = t.events and marks = t.marks in
-    (* Plan i's synthesized warm-up length and state-feed start. *)
-    let emis = Array.make k 0 in
-    let starts =
-      match cap with
-      | None -> Array.make k 0
-      | Some cap ->
-        let pos = ref 0 in
-        while !pos < t.cut_marks do
-          let id = marks.(!pos) in
-          for i = 0 to k - 1 do
-            emis.(i) <- emis.(i) + Array.length emits.(i).(id)
-          done;
-          pos := !pos + t.mark_width.(id)
-        done;
-        Array.init k (fun i -> max 0 (t.cut_events + emis.(i) - cap))
-    in
-    Array.fill emis 0 k 0;
-    (* Feed the demand range [lo, hi): plan i's copy of event j sits at
-       synthesized position [j + emis.(i)], so its sub-range starts at
-       [starts.(i) - emis.(i)].  When every plan's start is behind [lo]
-       (always true uncapped) one shared SoA pass covers all plans. *)
-    let feed_demand lo hi =
-      let all = ref true in
-      for i = 0 to k - 1 do
-        if starts.(i) - emis.(i) > lo then all := false
-      done;
-      if !all then
-        Memsim.Hierarchy.Batch.warm_all b events ~pos:lo ~len:(hi - lo)
-      else
-        for i = 0 to k - 1 do
-          let lo_i = max lo (starts.(i) - emis.(i)) in
-          if hi > lo_i then
-            Memsim.Hierarchy.Batch.warm_range b i events ~pos:lo_i
-              ~len:(hi - lo_i)
-        done
-    in
-    let prev = ref 0 in
-    let pos = ref 0 in
-    while !pos < t.cut_marks do
-      let id = marks.(!pos) in
-      let epos = marks.(!pos + 1) in
-      if epos > !prev then feed_demand !prev epos;
-      for i = 0 to k - 1 do
-        let ems = emits.(i).(id) in
-        for e = 0 to Array.length ems - 1 do
-          if epos + emis.(i) >= starts.(i) then begin
-            let base, terms, _ = ems.(e) in
-            let v = ref base in
-            for j = 0 to Array.length terms - 1 do
-              let field, coeff = terms.(j) in
-              v := !v + (coeff * marks.(!pos + 2 + field))
-            done;
-            Memsim.Hierarchy.Batch.warm_one b i !v
-          end;
-          emis.(i) <- emis.(i) + 1
-        done
-      done;
-      prev := epos;
-      pos := !pos + t.mark_width.(id)
-    done;
-    if t.cut_events > !prev then feed_demand !prev t.cut_events;
-    for i = 0 to k - 1 do
-      counts.(i) <- t.cut_events + emis.(i);
-      fed := !fed + counts.(i) - starts.(i)
-    done;
-    Memsim.Hierarchy.Batch.reset_counters b
-  end;
-  counts
-
-let timings_of ~sim_s = { Executor.compile_s = 0.0; exec_s = 0.0; sim_s }
-
-let measure_pool ?sampling ?work machine kernel ~n t ~plans =
-  let t0 = Unix_time.now () in
-  let k = Array.length plans in
-  let emits = Array.map (fun plan -> emit_table t ~plan ~track:[]) plans in
-  let hs = Executor.pooled_hierarchies machine k in
-  let b = Memsim.Hierarchy.Batch.create hs in
-  let events = t.events and marks = t.marks in
-  let n_events = Array.length events and n_marks = Array.length marks in
-  (* Events fed to the K hierarchies; a sampled walk's measured feeds
-     are read off its samplers at the end. *)
-  let fed = ref 0 in
-  let warm_counts =
-    warm_walk
-      ?cap:(Option.map Memsim.Sampling.prefix_cap sampling)
-      t b emits ~fed
-  in
-  let samplers =
-    match sampling with
-    | None -> None
-    | Some sp -> Some (Array.init k (fun _ -> Memsim.Sampling.sampler sp))
-  in
-  let feed_demand prev epos =
-    match samplers with
-    | None ->
-      Memsim.Hierarchy.Batch.replay_all b events ~pos:prev ~len:(epos - prev);
-      fed := !fed + (k * (epos - prev))
-    | Some ss ->
-      for i = 0 to k - 1 do
-        let s = ss.(i) in
-        let p = ref prev in
-        let remaining = ref (epos - prev) in
-        while !remaining > 0 do
-          let c = Memsim.Sampling.take s !remaining in
-          (match Memsim.Sampling.action s with
-          | Memsim.Sampling.Measure ->
-            Memsim.Hierarchy.Batch.replay_range b i events ~pos:!p ~len:c
-          | Memsim.Sampling.Warm ->
-            Memsim.Hierarchy.Batch.warm_range b i events ~pos:!p ~len:c
-          | Memsim.Sampling.Drop -> ());
-          p := !p + c;
-          remaining := !remaining - c
-        done
-      done
-  in
-  let feed_prefetch i v =
-    match samplers with
-    | None ->
-      ignore (Memsim.Hierarchy.Batch.replay_one b i v);
-      incr fed
-    | Some ss -> (
-      let s = ss.(i) in
-      ignore (Memsim.Sampling.take s 1);
-      match Memsim.Sampling.action s with
-      | Memsim.Sampling.Measure ->
-        ignore (Memsim.Hierarchy.Batch.replay_one b i v)
-      | Memsim.Sampling.Warm -> Memsim.Hierarchy.Batch.warm_one b i v
-      | Memsim.Sampling.Drop -> ())
-  in
-  (* Exact replay re-feeds the full stream on the warmed state (the
-     historical semantics); sampled replay measures only the post-cut
-     suffix and scales back up by the suffix fraction, mirroring
-     [Executor.replay_measured]. *)
-  let suffix = samplers <> None && t.cut_events >= 0 in
-  let prev = ref (if suffix then t.cut_events else 0) in
-  let pos = ref (if suffix then t.cut_marks else 0) in
-  while !pos < n_marks do
-    let id = marks.(!pos) in
-    let epos = marks.(!pos + 1) in
-    if epos > !prev then feed_demand !prev epos;
-    prev := epos;
-    for i = 0 to k - 1 do
-      let ems = emits.(i).(id) in
-      for e = 0 to Array.length ems - 1 do
-        let base, terms, _ = ems.(e) in
-        let v = ref base in
-        for j = 0 to Array.length terms - 1 do
-          let field, coeff = terms.(j) in
-          v := !v + (coeff * marks.(!pos + 2 + field))
-        done;
-        feed_prefetch i !v
-      done
-    done;
-    pos := !pos + t.mark_width.(id)
-  done;
-  if n_events > !prev then feed_demand !prev n_events;
-  Memsim.Hierarchy.Batch.sync b;
-  Option.iter
-    (Array.iter (fun s -> fed := !fed + Memsim.Sampling.replayed s))
-    samplers;
-  Executor.add_work work ~vm:0 ~replayed:!fed;
-  let per = (Unix_time.now () -. t0) /. float_of_int (max 1 k) in
-  Array.init k (fun i ->
-      let counters = Memsim.Hierarchy.counters hs.(i) in
-      (match samplers with
-      | Some ss ->
-        Memsim.Counters.extrapolate counters
-          (Memsim.Sampling.factor ss.(i)
-          *. Executor.suffix_factor
-               ~warm:(if suffix then warm_counts.(i) else 0)
-               ~fed:(Memsim.Sampling.fed ss.(i)))
-      | None -> ());
-      Executor.finish machine kernel ~n ~counters ~stats:t.stats
-        ~timings:(timings_of ~sim_s:per))
-
-(* The shared-decode walk keeps all K plans' simulated cache state hot
-   at once; past ~16 plans the tag/ready arrays outgrow the host's own
-   caches and the amortization inverts (the K=64 sweep-scaling rows
-   drop below the unbatched rate on the stencil kernels).  Partition
-   larger pools and stream the trace once per sub-pool — a plan's
-   counters do not depend on pool membership, so the split is
-   bit-identical to the single-pool walk. *)
-let max_pool = 16
-
+(* Each plan is synthesized into the domain's pooled event buffer and
+   measured from it, exactly as the reference is. *)
 let measure_plans ?sampling ?work machine kernel ~n t ~plans =
-  let k = Array.length plans in
-  if k <= max_pool then measure_pool ?sampling ?work machine kernel ~n t ~plans
-  else
-    Array.concat
-      (List.init
-         ((k + max_pool - 1) / max_pool)
-         (fun c ->
-           let pos = c * max_pool in
-           measure_pool ?sampling ?work machine kernel ~n t
-             ~plans:(Array.sub plans pos (min max_pool (k - pos)))))
+  let into, _ = Executor.pooled_buffers () in
+  Array.map
+    (fun plan ->
+      let cut = synthesize t ~plan ~into in
+      Executor.measure_from_trace ?sampling ?work machine kernel ~n
+        ~stats:t.stats ~events:(Ir.Vm.Buf.data into)
+        ~n_events:(Ir.Vm.Buf.length into) ~cut)
+    plans
 
 (* --- Incremental prefetch re-simulation -----------------------------
 
@@ -487,7 +245,7 @@ let measure_plans ?sampling ?work machine kernel ~n t ~plans =
    the base plan once while observing, for each varying array's
    prefetch emissions, the timeliness slack of the prefetched line's
    first demand use (how many cycles early the line arrived; negative =
-   the stall paid; [Hierarchy.Batch.replay_one]), bucketed per
+   the stall paid; [Hierarchy.replay_one]), bucketed per
    varying array.  A sibling at distance [d0 + dd] on some array issues
    that array's prefetches [dd] innermost iterations earlier, so each
    of its slacks shifts by [dd * cycles-per-iteration] while the other
@@ -620,20 +378,21 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
     let k = Array.length plans in
     let nb = List.length vary in
     let track = List.mapi (fun b a -> (a, b)) vary in
-    let emits = [| emit_table t ~plan:plans.(0) ~track |] in
-    (* The pooled slot is safe to share with the sibling re-measurement
-       below: [m0]'s counters are snapshotted by [finish] before
-       [measure_plans] resets the slot. *)
-    let h = (Executor.pooled_hierarchies machine 1).(0) in
-    let batch = Memsim.Hierarchy.Batch.create [| h |] in
+    let emit = emit_table t ~plan:plans.(0) ~track in
+    (* The warm-up: the base plan's synthesized prefix, replayed
+       state-only as [Executor.measure_from_trace] does, so [warm] is
+       the reference's cut and the suffix factor below stays
+       bit-identical.  The pooled hierarchy is safe to share with the
+       sibling re-measurement below: [m0]'s counters are snapshotted by
+       [finish] before [measure_plans] resets it. *)
+    let into, _ = Executor.pooled_buffers () in
+    let warm = synthesize t ~plan:plans.(0) ~into in
+    let h = Executor.pooled_hierarchy machine in
+    let fed =
+      ref (Executor.warm_prefix ?sampling h (Ir.Vm.Buf.data into) ~cut:warm)
+    in
     let events = t.events and marks = t.marks in
     let n_events = Array.length events and n_marks = Array.length marks in
-    let fed = ref 0 in
-    let warm_counts =
-      warm_walk
-        ?cap:(Option.map Memsim.Sampling.prefix_cap sampling)
-        t batch emits ~fed
-    in
     let sampler =
       match sampling with
       | None -> None
@@ -655,7 +414,7 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
     let n_slacks = Array.make nb 0 in
     let matched = Array.make nb 0 in
     let demand_slack_event v =
-      let s = Memsim.Hierarchy.Batch.replay_one batch 0 v in
+      let s = Memsim.Hierarchy.replay_one h v in
       if pending.Pending.count > 0 && v land 3 <> Ir.Sink.tag_prefetch then begin
         let bkt = Pending.take pending (v lsr line_shift) in
         if bkt >= 0 then begin
@@ -693,14 +452,14 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
               demand_slack_event (Array.unsafe_get events i)
             done
           | Memsim.Sampling.Warm ->
-            Memsim.Hierarchy.Batch.warm_range batch 0 events ~pos:!p ~len:c
+            Memsim.Hierarchy.warm_packed h events ~pos:!p ~len:c
           | Memsim.Sampling.Drop -> ());
           p := !p + c;
           remaining := !remaining - c
         done
     in
     let measure_prefetch bkt v =
-      let issued = Memsim.Hierarchy.Batch.replay_one batch 0 v in
+      let issued = Memsim.Hierarchy.replay_one h v in
       if bkt >= 0 && issued <> Memsim.Hierarchy.no_slack then
         Pending.replace pending (v lsr line_shift) bkt
     in
@@ -713,7 +472,7 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
         ignore (Memsim.Sampling.take s 1);
         match Memsim.Sampling.action s with
         | Memsim.Sampling.Measure -> measure_prefetch bkt v
-        | Memsim.Sampling.Warm -> Memsim.Hierarchy.Batch.warm_one batch 0 v
+        | Memsim.Sampling.Warm -> Memsim.Hierarchy.warm_one h v
         | Memsim.Sampling.Drop -> ())
     in
     let suffix = sampler <> None && t.cut_events >= 0 in
@@ -726,15 +485,10 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
       if epos > !prev then feed_demand !prev epos;
       prev := epos;
       incr n_iter;
-      let ems = emits.(0).(id) in
+      let ems = emit.(id) in
       for e = 0 to Array.length ems - 1 do
-        let base, terms, tracked = ems.(e) in
-        let v = ref base in
-        for j = 0 to Array.length terms - 1 do
-          let field, coeff = terms.(j) in
-          v := !v + (coeff * marks.(!pos + 2 + field))
-        done;
-        feed_prefetch tracked !v
+        let (_, _, bucket) as em = ems.(e) in
+        feed_prefetch bucket (emission marks !pos em)
       done;
       pos := !pos + t.mark_width.(id)
     done;
@@ -744,7 +498,6 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
     let n_matched = Array.fold_left ( + ) 0 matched in
     if n_matched = 0 then None
     else begin
-      Memsim.Hierarchy.Batch.sync batch;
       let counters = Memsim.Hierarchy.counters h in
       let raw_cycles =
         float_of_int (Memsim.Counters.accesses counters + counters.Memsim.Counters.stall_cycles)
@@ -754,7 +507,7 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
         | Some s ->
           Memsim.Sampling.factor s
           *. Executor.suffix_factor
-               ~warm:(if suffix then warm_counts.(0) else 0)
+               ~warm:(if suffix then warm else 0)
                ~fed:(Memsim.Sampling.fed s)
         | None -> 1.0
       in
@@ -762,7 +515,7 @@ let reprice_group ?sampling ?work machine kernel ~n t ~plans =
       let sim_s = Unix_time.now () -. t0 in
       let m0 =
         Executor.finish machine kernel ~n ~counters ~stats:t.stats
-          ~timings:(timings_of ~sim_s)
+          ~timings:{ Executor.compile_s = 0.0; exec_s = 0.0; sim_s }
       in
       (* Cycles per innermost iteration, in raw (unextrapolated)
          counter units — the shift one unit of prefetch distance

@@ -43,40 +43,33 @@ let buffers : (Ir.Vm.Buf.t * Ir.Vm.Buf.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       (Ir.Vm.Buf.create ~capacity:(1 lsl 16) (), Ir.Vm.Buf.create ~capacity:4096 ()))
 
-(* Per-domain hierarchy pool: a simulated hierarchy of the paper's
-   primary machine is ~1MB of tag/stamp/fill arrays, and a search takes
+let pooled_buffers () = Domain.DLS.get buffers
+
+(* Per-domain hierarchy: a simulated hierarchy of the paper's primary
+   machine is ~1MB of tag/stamp/fill arrays, and a search takes
    hundreds of measurements — creating one per candidate was most of
    the evaluator's allocation churn.  [reset] restores the exact
    post-[create] state (the differential suites would catch anything
    less), and [finish] snapshots counters into the measurement, so
    nothing escapes a measurement that the next reset could corrupt.
-   Keyed by physical machine identity; a different machine drops the
-   pool. *)
-type hierarchy_pool = {
-  mutable pool_machine : Machine.t option;
-  mutable pool_hs : Memsim.Hierarchy.t array;
-}
+   Keyed by physical machine identity; a different machine replaces
+   it. *)
+let hierarchy_slot : (Machine.t * Memsim.Hierarchy.t) option ref Domain.DLS.key
+    =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let hierarchy_pool : hierarchy_pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { pool_machine = None; pool_hs = [||] })
-
-let pooled_hierarchies machine k =
-  let p = Domain.DLS.get hierarchy_pool in
-  (match p.pool_machine with
-  | Some m when m == machine -> ()
-  | _ ->
-    p.pool_hs <- [||];
-    p.pool_machine <- Some machine);
-  let have = Array.length p.pool_hs in
-  if have < k then
-    p.pool_hs <-
-      Array.append p.pool_hs
-        (Array.init (k - have) (fun _ -> Memsim.Hierarchy.create machine));
-  let out = Array.sub p.pool_hs 0 k in
-  Array.iter Memsim.Hierarchy.reset out;
-  out
-
-let pooled_hierarchy machine = (pooled_hierarchies machine 1).(0)
+let pooled_hierarchy machine =
+  let slot = Domain.DLS.get hierarchy_slot in
+  let h =
+    match !slot with
+    | Some (m, h) when m == machine -> h
+    | _ ->
+      let h = Memsim.Hierarchy.create machine in
+      slot := Some (machine, h);
+      h
+  in
+  Memsim.Hierarchy.reset h;
+  h
 
 let finish machine (kernel : Kernels.Kernel.t) ~n ~counters ~stats ~timings =
   let cost = Memsim.Cost.evaluate machine counters stats in
@@ -140,7 +133,7 @@ let effective_mode sampling mode =
    extrapolate the counters by the sampler's window factor times the
    suffix fraction.  Skipping the prefix re-measurement halves the
    replay work and estimates steady state from the region least
-   contaminated by cold misses; [Demand_trace.measure_plans] replicates
+   contaminated by cold misses; [Demand_trace.reprice_group] replicates
    the same suffix walk and factor arithmetic bit-for-bit. *)
 let suffix_factor ~warm ~fed =
   if fed > 0 then float_of_int (warm + fed) /. float_of_int fed else 1.0
@@ -195,7 +188,7 @@ let measure ?sampling ?work machine (kernel : Kernels.Kernel.t) ~n ~mode
   let register_budget = Machine.available_registers machine in
   let vm = Ir.Vm.compile ~register_budget ~params program in
   let t1 = Unix_time.now () in
-  let events, marks = Domain.DLS.get buffers in
+  let events, marks = pooled_buffers () in
   let flop_budget, warm_budget =
     trace_budgets kernel ~n (effective_mode sampling mode)
   in
@@ -218,12 +211,13 @@ let measure ?sampling ?work machine (kernel : Kernels.Kernel.t) ~n ~mode
     ~counters:(Memsim.Hierarchy.counters hierarchy)
     ~stats:r.Ir.Vm.stats ~timings
 
-let measure_from_trace ?sampling machine kernel ~n ~stats ~events ~n_events
-    ~cut =
+let measure_from_trace ?sampling ?work machine kernel ~n ~stats ~events
+    ~n_events ~cut =
   let t0 = Unix_time.now () in
   let hierarchy = pooled_hierarchy machine in
-  ignore (warm_prefix ?sampling hierarchy events ~cut);
-  ignore (replay_measured ?sampling hierarchy events ~cut ~n_events);
+  let warmed = warm_prefix ?sampling hierarchy events ~cut in
+  let measured = replay_measured ?sampling hierarchy events ~cut ~n_events in
+  add_work work ~vm:0 ~replayed:(warmed + measured);
   let timings = { no_timings with sim_s = Unix_time.now () -. t0 } in
   finish machine kernel ~n
     ~counters:(Memsim.Hierarchy.counters hierarchy)
