@@ -213,11 +213,10 @@ let eval_bench_run kernel ~n =
     fast_s,
     reference_s )
 
-(* The replay tier: default sampled simulation + batched multi-plan
-   replay + incremental prefetch re-pricing, i.e. the
-   [--sample --incremental] search.  Delivered throughput counts
-   re-priced candidates alongside fresh simulations: both produce a
-   scored candidate the search acts on. *)
+(* The replay tier: default sampled simulation + incremental prefetch
+   re-pricing, i.e. the [--sample --incremental] search.  Delivered
+   throughput counts re-priced candidates alongside fresh simulations:
+   both produce a scored candidate the search acts on. *)
 let eval_bench_replay kernel ~n =
   let engine = Core.Engine.create Machine.sgi_r10000 in
   Core.Engine.set_sampling engine (Some Memsim.Sampling.default);
@@ -284,21 +283,7 @@ let sweep_microbench (kernel : Kernels.Kernel.t) ~n =
     time (fun () -> replay ~sampling:Memsim.Sampling.default ())
   in
   let per_sec t = if t > 0.0 then float_of_int k /. t else 0.0 in
-  (* SoA batched-walk scaling: how the one-walk multi-plan replay
-     ([measure_plans], no re-pricing) amortizes as the group grows past
-     the old 16-plan comfort zone.  One round per K — these rows track
-     scaling shape, not microbenchmark precision. *)
-  let scaling =
-    List.map
-      (fun k ->
-        let plans = Array.init k (fun i -> [ (arr, 1 + i) ]) in
-        let t0 = Unix.gettimeofday () in
-        ignore (Core.Demand_trace.measure_plans machine kernel ~n dt ~plans);
-        let t = Unix.gettimeofday () -. t0 in
-        (k, if t > 0.0 then float_of_int k /. t else 0.0))
-      [ 16; 32; 64 ]
-  in
-  (k, per_sec t_unbatched, per_sec t_replay, per_sec t_replay_sampled, scaling)
+  (k, per_sec t_unbatched, per_sec t_replay, per_sec t_replay_sampled)
 
 let emit_eval_json () =
   let entries =
@@ -322,7 +307,7 @@ let emit_eval_json () =
             (fast_mflops -. replay_mflops) /. fast_mflops *. 100.0
           else 0.0
         in
-        let sweep_k, sweep_unb, sweep_rep, sweep_rep_sampled, sweep_scaling =
+        let sweep_k, sweep_unb, sweep_rep, sweep_rep_sampled =
           sweep_microbench kernel ~n
         in
         let speedup = if fast_s > 0.0 then reference_s /. fast_s else 0.0 in
@@ -344,10 +329,6 @@ let emit_eval_json () =
           (if sweep_unb > 0.0 then sweep_rep /. sweep_unb else 0.0)
           sweep_rep_sampled
           (if sweep_unb > 0.0 then sweep_rep_sampled /. sweep_unb else 0.0);
-        List.iter
-          (fun (k, rate) ->
-            Format.printf "  sweep scaling K=%d: batched %.0f evals/s@." k rate)
-          sweep_scaling;
         Printf.sprintf
           "  {\"kernel\": \"%s\", \"n\": %d, \"budget\": %d,\n\
           \   \"fast_evals\": %d, \"fast_eval_seconds\": %.4f, \
@@ -366,8 +347,7 @@ let emit_eval_json () =
           \   \"sweep_k\": %d, \"sweep_unbatched_evals_per_sec\": %.1f, \
            \"sweep_replay_evals_per_sec\": %.1f,\n\
           \   \"sweep_replay_sampled_evals_per_sec\": %.1f, \
-           \"sweep_speedup\": %.2f, \"sweep_sampled_speedup\": %.2f,\n\
-          \   \"sweep_scaling\": [%s]}"
+           \"sweep_speedup\": %.2f, \"sweep_sampled_speedup\": %.2f}"
           name n
           (match eval_bench_mode with
           | Core.Executor.Budget b -> b
@@ -381,13 +361,7 @@ let emit_eval_json () =
           replay_per_sec replay_wall replay_mflops replay_degradation sweep_k
           sweep_unb sweep_rep sweep_rep_sampled
           (if sweep_unb > 0.0 then sweep_rep /. sweep_unb else 0.0)
-          (if sweep_unb > 0.0 then sweep_rep_sampled /. sweep_unb else 0.0)
-          (String.concat ", "
-             (List.map
-                (fun (k, rate) ->
-                  Printf.sprintf
-                    "{\"k\": %d, \"batched_evals_per_sec\": %.1f}" k rate)
-                sweep_scaling)))
+          (if sweep_unb > 0.0 then sweep_rep_sampled /. sweep_unb else 0.0))
       eval_bench_cases
   in
   let oc = open_out "BENCH_eval.json" in

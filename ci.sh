@@ -27,15 +27,12 @@ grep "speedup" BENCH_eval.json
 # bench kernels (matvec / stencil2d / wavefront) track their numbers
 # without a quality gate — their tiny exact searches make the
 # degradation column a search-shape artifact, not an estimator error.
-# Per-kernel sweep bars: matmul must hold the batched+sampled sweep at
-# >= 12x over unbatched exact replay, jacobi3d (the former 1.10x
-# stencil gap) at >= 4x.  Every kernel must carry a K=64 sweep-scaling
-# row, and large batches must not invert: the K=64 batched rate has to
-# beat the K=24 unbatched rate (the sub-pool split in
-# Demand_trace.measure_plans is what keeps this true for the
-# cache-hungry stencils).  The replay tier's cost against the fast path
-# is gated as work in `dune runtest` (`replay sampled search work share
-# bounded`), not as an evals/s ratio.
+# Per-kernel sweep bars: matmul must hold the re-priced (or re-priced
+# and sampled) K=24 sweep at >= 12x over per-plan exact replay, jacobi3d
+# (the former 1.10x stencil gap) at >= 4x, every other kernel at >= 2x.
+# The replay tier's cost against the fast path is gated as work in
+# `dune runtest` (`replay sampled search work share bounded`), not as
+# an evals/s ratio.
 python3 - <<'EOF'
 import json
 rows = json.load(open("BENCH_eval.json"))
@@ -56,22 +53,15 @@ for r in rows:
     if sweep < sweep_bar.get(k, 2.0):
         print(f'{k}: best sweep speedup {sweep:.1f}x < {sweep_bar.get(k, 2.0):.0f}x bar')
         ok = False
-    scaling = {s["k"]: s["batched_evals_per_sec"] for s in r["sweep_scaling"]}
-    if 64 not in scaling:
-        print(f'{k}: no K=64 sweep-scaling row')
-        ok = False
-    elif scaling[64] <= r["sweep_unbatched_evals_per_sec"]:
-        print(f'{k}: K=64 batched {scaling[64]:.1f} evals/s <= unbatched {r["sweep_unbatched_evals_per_sec"]:.1f}')
-        ok = False
-    print(f'eval gate: {k} sweep {sweep:.1f}x, K=64 {scaling.get(64, 0.0):.1f} vs unbatched {r["sweep_unbatched_evals_per_sec"]:.1f} evals/s')
+    print(f'eval gate: {k} sweep {sweep:.1f}x')
 raise SystemExit(0 if ok else 1)
 EOF
 
-# --- Batched, sampled and incremental replay -----------------------------
+# --- Worker-count determinism, sampled and incremental replay ----------
 
-# Batched multi-plan replay is always on; its sweep groups and their
-# commits must not depend on the worker count: the default tune at
-# --jobs 1 and --jobs 3 must agree byte for byte.
+# The default tune's batches and their commits must not depend on the
+# worker count: the tune at --jobs 1 and --jobs 3 must agree byte for
+# byte.
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 1 \
   | grep -E "^(best variant|parameters|prefetch|performance):" > ci_jobs1.txt
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 3 \

@@ -210,11 +210,10 @@ type t = {
   mutable db : Perfdb.t option;
   mutable db_warm : bool;
   mutable db_ctx : string;
-  (* Sampled / incremental replay (two of the three evaluator tiers of
-     DESIGN.md section 12; batched replay is always on).  [sampling]
-     turns measurements into sampled estimates; [incremental] re-prices
-     distance-only siblings of a sweep group from the base plan's
-     prefetch-timeliness slacks. *)
+  (* Sampled / incremental replay (the evaluator tiers of DESIGN.md
+     section 12).  [sampling] turns measurements into sampled
+     estimates; [incremental] re-prices distance-only siblings of a
+     sweep group from the base plan's prefetch-timeliness slacks. *)
   mutable sampling : Memsim.Sampling.t option;
   mutable incremental : bool;
   (* Adaptive confirmation (Search.confirm_best): the [--confirm]
@@ -422,7 +421,7 @@ let fingerprint t (r : request) =
 
 (* Stable candidate identity for keying fault streams: the same
    candidate draws the same faults regardless of evaluation order,
-   batch membership or measurement route (direct vs demand-trace walk). *)
+   batch membership or measurement route (direct vs sweep group). *)
 let fault_key fp =
   let kvs l =
     String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) l)
@@ -625,8 +624,8 @@ type raw =
   | Failed of failure_reason * tele
 
 (* The protocol tail, applied to one candidate's clean measurement —
-   whether it came from the candidate's own simulation or from a
-   batched group walk:
+   whether it came from the candidate's own simulation or from a sweep
+   group:
 
    - a deterministic simulated-cycle overrun is a final [Timeout];
    - with an active fault plan or repeated trials, each of
@@ -1194,9 +1193,9 @@ let note_confirm_skipped t ?log () =
 (* One re-priced sweep group: [members] share one demand-trace key.
    Distance-only siblings are re-priced from the base plan's slack
    samples ([Demand_trace.reprice_group]), and a re-priced member comes
-   back as [None]; a group the re-pricer cannot price is measured in a
-   single multi-plan walk over the captured trace
-   ([Demand_trace.measure_plans]).  Every measured member then goes
+   back as [None]; a group the re-pricer cannot price is measured plan
+   by plan from the captured trace ([Demand_trace.measure_plans]).
+   Every measured member then goes
    through [protect], exactly as if it had been measured on its own.
    The returned thunk is engine-state-free, so it can run on any worker
    domain. *)

@@ -21,8 +21,9 @@
       measured directly ({!Executor.measure}) unless the incremental
       re-pricer prices its sweep group: under {!set_incremental} with
       the cycles objective, prefetch candidates sharing a demand trace
-      are priced together ({!Demand_trace.reprice_group}, or one
-      {!Demand_trace.measure_plans} walk when the re-pricer declines).
+      are priced together ({!Demand_trace.reprice_group}; when the
+      re-pricer declines, {!Demand_trace.measure_plans} measures each
+      plan from the captured trace).
       Only a prefetch plan whose every distance is at least 1 joins a
       group; a shorter distance has no program, and fails as
       {!Malformed_program} on the direct route.
@@ -148,20 +149,19 @@ val prefilter : t -> int option
     {!Eco}'s triage width. *)
 val default_prefilter : int
 
-(** {2 Batched, sampled and incremental replay}
+(** {2 Sweep groups, sampled and incremental replay}
 
     Three evaluator tiers (DESIGN.md, "Three replay tiers"):
 
-    - {b Batched multi-plan replay} (under incremental re-pricing):
-      within an {!evaluate_batch}, prefetch candidates that share one
-      captured demand trace (a distance sweep over one variant point)
-      form a group; a group the re-pricer declines is measured in ONE
-      walk over the trace ({!Demand_trace.measure_plans}), so the
-      shared demand stream is decoded once instead of once per plan.
-      Each measurement is bit-identical to measuring the candidate on
-      its own, which is what every candidate outside a re-priced group
-      gets: generating a plan's own trace costs less than capturing and
-      walking the shared one.
+    - {b Sweep groups} (under incremental re-pricing): within an
+      {!evaluate_batch}, prefetch candidates that share one captured
+      demand trace (a distance sweep over one variant point) form a
+      group; a group the re-pricer declines is measured plan by plan
+      from the trace ({!Demand_trace.measure_plans}).  Each
+      measurement is bit-identical to measuring the candidate on its
+      own, which is what every candidate outside a re-priced group
+      gets: generating a plan's own trace costs less than capturing
+      the shared one.
     - {b Sampled simulation} (off by default): with a
       {!Memsim.Sampling.t} spec, measurements become sampled
       estimates — the trace is generated at a budget shrunken by
@@ -182,8 +182,8 @@ val default_prefilter : int
       {!Search_log.note_repriced}) and are {e not} memoized — like
       pre-filter skips, a later request can still measure them.
 
-    Groups form under any fault plan and trial count: the group walk
-    yields each member's clean measurement, and the protocol (cycle
+    Groups form under any fault plan and trial count: the group yields
+    each member's clean measurement, and the protocol (cycle
     cap, seeded trial draws, retries, quarantine, aggregation) then
     applies to each member exactly as to a candidate measured
     alone. *)

@@ -17,9 +17,10 @@
     contents.  The measured counters are then scaled by
     [fed / measured] to estimate the full-replay counters.
 
-    The same sampler is shared by single-plan ({!Hierarchy.replay_sampled})
-    and batched ({!Core.Demand_trace}) replays, so both make identical
-    window decisions for the same event stream. *)
+    The same sampler drives {!Hierarchy.replay_sampled} and the
+    incremental re-pricer's walk ([Core.Demand_trace.reprice_group]),
+    so both make identical window decisions for the same event
+    stream. *)
 
 type t = {
   shrink : int;
@@ -55,9 +56,9 @@ val to_string : t -> string
     first window's state at least as representative as any later
     window's; prefixes no longer than one period replay in full, making
     small-budget estimates bit-identical to the uncapped behaviour.
-    All sampled replay paths (direct, from-trace, and batched) apply
-    the same cap to the same stream positions, so their estimates stay
-    bit-identical to each other. *)
+    All sampled replay paths (direct, from-trace, and the re-pricer's
+    walk) apply the same cap to the same stream positions, so their
+    estimates stay bit-identical to each other. *)
 val prefix_cap : t -> int
 
 type action = Measure | Warm | Drop
