@@ -97,7 +97,8 @@ let evaluate st ~bindings ~prefetch =
 
    - [sweep]: an independent neighbourhood as ONE engine batch —
      parallel when the engine has jobs > 1, ranked as a whole by the
-     pre-filter, its prefetch siblings walked as one sweep group.  The
+     pre-filter, and, under the incremental re-pricer, its prefetch
+     siblings of one point priced together as a sweep group.  The
      members' order is part of the answer: the pre-filter breaks score
      ties by position and results commit in request order.
    - [anchors]: single evaluations in order.  A one-point batch is not
@@ -284,26 +285,15 @@ let prefetch_arrays st ~bindings =
     (Engine.build st.engine (request st ~bindings ~prefetch:[]))
 
 (* The staged search's prefetch pass: per array, a doubling descent
-   over distances 1..32 on top of the arrays committed so far. *)
+   over distances 1..32 on top of the arrays committed so far.  Each
+   step is one evaluation whose result the next step reads, so the pass
+   measures nothing it does not decide on and forms no sweep group. *)
 let prefetch_search st ~bindings current_cycles =
   match prefetch_arrays st ~bindings with
   | None -> ([], current_cycles)
   | Some arrays ->
     List.fold_left
       (fun (chosen, best_c) array ->
-        (* Speculatively measure the array's whole distance ladder as
-           ONE batch: the candidates share this point's demand trace, so
-           the engine collapses them into a single multi-plan walk and
-           the serial descent below runs entirely on memo hits.  The
-           results are not considered, so the descent's decisions — and
-           hence the chosen plan — are untouched. *)
-        ignore
-          (Engine.evaluate_batch st.engine ?log:st.log
-             (List.map
-                (fun d ->
-                  request st ~bindings
-                    ~prefetch:(List.sort compare ((array, d) :: chosen)))
-                [ 1; 2; 4; 8; 16; 32 ]));
         let try_distance d = evaluate st ~bindings ~prefetch:((array, d) :: chosen) in
         match try_distance 1 with
         | Some c1 when better c1 best_c ->
@@ -616,7 +606,7 @@ let record_rank_evidence st confirmed =
 let confirm_exact st ~quota =
   List.iteri
     (fun i _ ->
-      if i >= quota then Engine.note_confirm_skipped st.engine ?log:st.log ())
+      if i >= quota then Engine.note_confirm_skipped st.engine)
     st.top;
   let confirmed =
     List.filter_map
@@ -787,7 +777,7 @@ let warm_tune st =
     let best =
       List.fold_left
         (fun acc seed ->
-          Engine.note_warm_start st.engine ?log:st.log ();
+          Engine.note_warm_start st.engine;
           anchors ?init:acc st [ seed ])
         None seeds
     in

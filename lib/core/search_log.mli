@@ -48,11 +48,6 @@ val note_prefiltered : t -> unit
     per-run memo. *)
 val note_db_hit : t -> unit
 
-(** Count a transferred warm-start seed: a nearest-neighbor database
-    point rescaled to this problem and force-simulated as a search
-    anchor. *)
-val note_warm_start : t -> unit
-
 (** Count a candidate priced by the incremental prefetch repricer
     instead of a full replay: its cost estimate came from the slack
     model of its sweep group's base plan, and it was never simulated
@@ -62,11 +57,6 @@ val note_repriced : t -> unit
 (** Count a leaderboard candidate confirmed by a re-measurement at the
     end of a sampled search (exact) or a noisy one (longer trials). *)
 val note_confirmed : t -> unit
-
-(** Count a leaderboard candidate whose exact confirmation was skipped
-    by the adaptive-confirmation policy (the sampled estimator's rank
-    record on this kernel earned a smaller confirm set). *)
-val note_confirm_skipped : t -> unit
 
 val entries : t -> entry list
 
@@ -92,18 +82,12 @@ val prefiltered : t -> int
 (** Points served from the persistent performance database. *)
 val db_hits : t -> int
 
-(** Transferred warm-start seeds force-simulated as anchors. *)
-val warm_starts : t -> int
-
 (** Candidates priced by the incremental repricer without replay. *)
 val repriced : t -> int
 
 (** Leaderboard candidates re-measured after a sampled or noisy
     search. *)
 val confirmed : t -> int
-
-(** Leaderboard confirmations skipped by the adaptive policy. *)
-val confirm_skipped : t -> int
 
 (** Wall-clock seconds since [create]. *)
 val seconds : t -> float
