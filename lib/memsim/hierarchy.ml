@@ -7,8 +7,8 @@
 module Cache = struct
   (* Each way is four consecutive words of [ways]: the tag (-1 =
      invalid), the LRU stamp (larger = more recent), the cycle at which
-     the line's data arrives, and the dirty bit (0 or 1).  A hit reads
-     and writes one way's words, which share a host cache line. *)
+     the line's data arrives, and the dirty bit (0 or 1).  A set's ways
+     are adjacent, so a lookup reads only its set's words. *)
   let tag = 0
   let stamp = 1
   let fill = 2
@@ -72,13 +72,28 @@ module Cache = struct
   let[@inline] line_of_addr c addr = addr lsr c.line_shift
 
   (* The way holding [line] (the index of its first word), or -1.  A
-     line occupies at most one way ([insert] only runs on a miss), so
-     the scan stops at the first match; the first way is checked before
-     the loop, which is all a direct-mapped cache needs. *)
+     line occupies at most one way ([insert] only runs on a miss).  In
+     a 2-way set the way that can match is chosen arithmetically: the
+     compare with way 1's tag becomes 0 or 1 through [Bool.to_int], a
+     set-on-compare with no jump, and the chosen way's tag is checked
+     once, so the only branch is hit or miss.  Under true LRU a line
+     sits in either way about equally often, and a "way 0 first" branch
+     mispredicts on about half the hits.  Other set sizes keep the scan
+     from way 0: a direct-mapped set has nothing to choose, and over a
+     wider set a pass through every way won on some streams and lost on
+     others (DESIGN §7). *)
   let[@inline] find c line =
     let ways = c.ways in
     let base = (line land c.set_mask) * c.set_words in
-    if Array.unsafe_get ways base = line then base
+    if c.set_words = 2 * way_words then begin
+      let w =
+        base
+        + way_words
+          * Bool.to_int (Array.unsafe_get ways (base + way_words) = line)
+      in
+      if Array.unsafe_get ways w = line then w else -1
+    end
+    else if Array.unsafe_get ways base = line then base
     else begin
       let stop = base + c.set_words in
       let i = ref (base + way_words) in
@@ -121,29 +136,39 @@ module Cache = struct
       Hit (fill_of c w)
     end
 
+  (* The victim is the way with the least stamp, the earliest on ties,
+     found in one pass (a 2-way set compares its two stamps without a
+     jump).  Only [reset] writes a -1 tag, so an invalid way has stamp 0
+     and dirty bit 0, while every valid way has its own stamp >= 1: the
+     least stamp is the first invalid way, else the LRU way, and the
+     victim's dirty bit says whether a dirty line is evicted. *)
   let insert c ~now:_ ~ready ~dirty:d ~line =
     let ways = c.ways in
     let base = (line land c.set_mask) * c.set_words in
-    let stop = base + c.set_words in
-    (* The first invalid way wins outright (any invalid way is as good as
-       another, so scanning on is wasted work); otherwise evict the LRU
-       way, earliest index winning stamp ties. *)
-    let victim = ref (-1) in
-    let lru = ref base in
-    let lru_stamp = ref max_int in
-    let w = ref base in
-    while !victim < 0 && !w < stop do
-      if ways.(!w + tag) = -1 then victim := !w
+    let w =
+      if c.set_words = 2 * way_words then
+        base
+        + way_words
+          * Bool.to_int
+              (Array.unsafe_get ways (base + way_words + stamp)
+              < Array.unsafe_get ways (base + stamp))
       else begin
-        if ways.(!w + stamp) < !lru_stamp then begin
-          lru := !w;
-          lru_stamp := ways.(!w + stamp)
-        end;
-        w := !w + way_words
+        let w = ref base in
+        let least = ref (Array.unsafe_get ways (base + stamp)) in
+        let i = ref (base + way_words) in
+        let stop = base + c.set_words in
+        while !i < stop do
+          let s = Array.unsafe_get ways (!i + stamp) in
+          if s < !least then begin
+            w := !i;
+            least := s
+          end;
+          i := !i + way_words
+        done;
+        !w
       end
-    done;
-    let w = if !victim >= 0 then !victim else !lru in
-    let evicted_dirty = ways.(w + tag) <> -1 && ways.(w + dirty) = 1 in
+    in
+    let evicted_dirty = ways.(w + dirty) = 1 in
     c.tick <- c.tick + 1;
     ways.(w + tag) <- line;
     ways.(w + stamp) <- c.tick;

@@ -38,9 +38,10 @@ module Cache : sig
       allocation-free probe instead. *)
   val lookup : t -> now:int -> line:int -> lookup
 
-  (** [insert c ~now ~ready ~dirty ~line] allocates [line], evicting the
-      LRU way.  Returns [true] when a dirty line was evicted (write-back
-      traffic).  [ready] is the cycle at which the fill completes. *)
+  (** [insert c ~now ~ready ~dirty ~line] allocates [line], which must be
+      absent, in the first invalid way of its set, else in the LRU way.
+      Returns [true] when a dirty line was evicted (write-back traffic).
+      [ready] is the cycle at which the fill completes. *)
   val insert : t -> now:int -> ready:int -> dirty:bool -> line:int -> bool
 
   (** Mark a resident line dirty (no-op when absent). *)

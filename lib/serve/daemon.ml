@@ -3,10 +3,13 @@
    the [Yield] effect, performed from the engine's batch-boundary hook)
    and is resumed round-robin, so all sessions share each measurement
    context's engine — memo table, demand-trace cache and database tier
-   included.  A second domain does nothing but read stdin lines into a
+   included.  A reader thread does nothing but read stdin lines into a
    queue, which the coordinator drains both between slices and from the
    engine poll hook, so cancels and new requests are admitted even
-   while a search is running. *)
+   while a search is running.  It is a systhread on the coordinator's
+   domain, not a second domain: blocked in [input_line] it holds no
+   runtime lock, and a second domain would make every minor collection
+   a stop-the-world across both. *)
 
 module Engine = Core.Engine
 module Eco = Core.Eco
@@ -613,8 +616,13 @@ and engine_for d req =
 
 (* The poll hook: runs before/after every evaluation of the current
    session.  Drains the inbox (so a cancel aimed at us lands), then
-   raises the session's cooperative aborts. *)
+   raises the session's cooperative aborts.  The reader thread needs
+   the runtime lock to queue a line it has read; [Thread.yield] hands
+   the lock over when it is waiting (and costs a few nanoseconds when
+   not), so a request lands within one evaluation rather than at the
+   runtime's next periodic thread switch. *)
 and poll d =
+  Thread.yield ();
   drain d;
   match d.current with
   | None -> ()
@@ -908,12 +916,12 @@ let run ?(ic = stdin) ?(oc = stdout) cfg =
         ]
        @ db_state_json d));
   recover d;
-  let reader = Domain.spawn (fun () -> reader_loop d ic) in
+  let reader = Thread.create (fun () -> reader_loop d ic) () in
   loop d;
   (match d.db with
   | Some db -> ( try Perfdb.close db with _ -> ())
   | None -> ());
   (* the reader ends with its input; join it only when it already has,
      so a [shutdown] request doesn't block on an open stdin *)
-  if d.reader_done then (try Domain.join reader with _ -> ());
+  if d.reader_done then (try Thread.join reader with _ -> ());
   0

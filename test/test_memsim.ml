@@ -88,6 +88,103 @@ let test_cache_rejects_bad_geometry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* A list-per-set, true-LRU, write-back model of [Memsim.Cache]: each
+   set holds its resident lines, most recent first. *)
+type ref_line = { rline : int; rfill : int; mutable rdirty : bool }
+
+type ref_cache = { rsets : int; rassoc : int; rset : ref_line list array }
+
+let ref_create ~sets ~assoc =
+  { rsets = sets; rassoc = assoc; rset = Array.make sets [] }
+
+let ref_reset m = Array.fill m.rset 0 m.rsets []
+
+let ref_find m line =
+  List.find_opt (fun e -> e.rline = line) m.rset.(line mod m.rsets)
+
+let ref_lookup m line =
+  let s = line mod m.rsets in
+  match ref_find m line with
+  | None -> None
+  | Some e ->
+    m.rset.(s) <- e :: List.filter (fun x -> x.rline <> line) m.rset.(s);
+    Some e.rfill
+
+(* Only called on a miss; returns whether a dirty line was evicted. *)
+let ref_insert m ~ready ~dirty line =
+  let s = line mod m.rsets in
+  let l = m.rset.(s) in
+  let kept, evicted_dirty =
+    if List.length l < m.rassoc then (l, false)
+    else
+      let rev = List.rev l in
+      (List.rev (List.tl rev), (List.hd rev).rdirty)
+  in
+  m.rset.(s) <- { rline = line; rfill = ready; rdirty = dirty } :: kept;
+  evicted_dirty
+
+let ref_set_dirty m line =
+  match ref_find m line with Some e -> e.rdirty <- true | None -> ()
+
+let ref_occupancy m = Array.fold_left (fun n l -> n + List.length l) 0 m.rset
+
+(* Seeded random line streams through [Memsim.Cache] and the model at
+   every associativity the machines use: lookups, inserts on a miss
+   with random fill times and dirty bits, [set_dirty] on resident and
+   absent lines, and a [reset] partway.  Lines come from a pool twice
+   the cache's capacity, so hits land in every way and most inserts
+   evict. *)
+let test_cache_matches_reference_model () =
+  let sets = 8 and steps = 3000 in
+  List.iter
+    (fun assoc ->
+      for seed = 1 to 4 do
+        let c = tiny_cache ~assoc ~size:(sets * assoc * 32) () in
+        check_int "sets" sets (Memsim.Cache.sets c);
+        let m = ref_create ~sets ~assoc in
+        let rng = Random.State.make [| seed; assoc |] in
+        let pool = 2 * sets * assoc in
+        let fail step fmt =
+          Printf.ksprintf
+            (Alcotest.failf "assoc %d, seed %d, step %d: %s" assoc seed step)
+            fmt
+        in
+        for step = 1 to steps do
+          if step = steps / 2 then begin
+            Memsim.Cache.reset c;
+            ref_reset m
+          end;
+          let line = Random.State.int rng pool in
+          if Random.State.int rng 8 = 0 then begin
+            Memsim.Cache.set_dirty c ~line;
+            ref_set_dirty m line
+          end
+          else
+            match
+              (Memsim.Cache.lookup c ~now:step ~line, ref_lookup m line)
+            with
+            | Memsim.Cache.Hit fill, Some fill' ->
+              if fill <> fill' then
+                fail step "line %d fill %d, model %d" line fill fill'
+            | Memsim.Cache.Miss, None ->
+              let ready = step + Random.State.int rng 200 in
+              let dirty = Random.State.bool rng in
+              let evicted =
+                Memsim.Cache.insert c ~now:step ~ready ~dirty ~line
+              in
+              if evicted <> ref_insert m ~ready ~dirty line then
+                fail step "line %d evicted-dirty %b" line evicted
+            | Memsim.Cache.Hit _, None -> fail step "line %d hit, model misses" line
+            | Memsim.Cache.Miss, Some _ -> fail step "line %d missed, model hits" line
+        done;
+        for line = 0 to pool - 1 do
+          if Memsim.Cache.resident c ~line <> (ref_find m line <> None) then
+            fail steps "line %d residency" line
+        done;
+        check_int "occupancy" (ref_occupancy m) (Memsim.Cache.occupancy c)
+      done)
+    [ 1; 2; 4; 8; 16 ]
+
 let tiny_tlb ?(entries = 4) () =
   Memsim.Tlb.create { Machine.entries; page_bytes = 4096; miss_cycles = 10 }
 
@@ -356,6 +453,8 @@ let suite =
     Alcotest.test_case "cache reset" `Quick test_cache_reset;
     Alcotest.test_case "bad geometry rejected" `Quick
       test_cache_rejects_bad_geometry;
+    Alcotest.test_case "cache matches a true-LRU reference model" `Quick
+      test_cache_matches_reference_model;
     Alcotest.test_case "tlb hit/miss" `Quick test_tlb_hit_miss;
     Alcotest.test_case "tlb FIFO eviction" `Quick test_tlb_fifo_eviction;
     Alcotest.test_case "tlb probe does not install" `Quick
