@@ -81,15 +81,6 @@ let budget_arg =
     & info [ "b"; "budget" ] ~docv:"FLOPS"
         ~doc:"Flop budget per simulated measurement (0 = full simulation).")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"JOBS"
-        ~doc:
-          "Evaluate independent candidate batches on JOBS domains (0 = one \
-           per core).  Results are identical at any value; only wall time \
-           changes.")
-
 let mode_of_budget b =
   if b <= 0 then Core.Executor.Full else Core.Executor.Budget b
 
@@ -156,7 +147,7 @@ let load_db ?(lock = false) cmd file =
             msg));
     exit 1
 
-let tune machine kernel n budget jobs objective prefilter profile validate
+let tune machine kernel n budget objective prefilter profile validate
     faults_spec trials retries checkpoint checkpoint_every die_after db_file
     no_warm_start sample incremental confirm timeout =
   let mode = mode_of_budget budget in
@@ -174,7 +165,7 @@ let tune machine kernel n budget jobs objective prefilter profile validate
     { Core.Engine.default_protocol with trials; max_retries = retries }
   in
   let engine =
-    Core.Engine.create ~jobs ~faults ~protocol ~objective ?prefilter machine
+    Core.Engine.create ~faults ~protocol ~objective ?prefilter machine
   in
   let sampling =
     match sample with
@@ -318,9 +309,8 @@ let tune machine kernel n budget jobs objective prefilter profile validate
   Format.printf "search:       %d points, %.2fs wall@."
     (Core.Search_log.points r.Core.Eco.log)
     (Core.Search_log.seconds r.Core.Eco.log);
-  Format.printf "engine:       %a (%d jobs)@." Core.Engine.pp_stats
-    (Core.Engine.stats r.Core.Eco.engine)
-    (Core.Engine.jobs r.Core.Eco.engine);
+  Format.printf "engine:       %a@." Core.Engine.pp_stats
+    (Core.Engine.stats r.Core.Eco.engine);
   (match db with
   | None -> ()
   | Some db ->
@@ -415,8 +405,7 @@ let tune_cmd =
           ~doc:
             "Inject seeded measurement faults, e.g. \
              'seed=7,noise=0.05,transient=0.02,hang=0.01,outlier=0.01'. \
-             Deterministic: the same spec reproduces the same faults at \
-             any --jobs.")
+             Deterministic: the same spec reproduces the same faults.")
   in
   let trials_arg =
     Arg.(
@@ -541,7 +530,7 @@ let tune_cmd =
        ~doc:"Run the full two-phase ECO optimization for a kernel.")
     Term.(
       const tune $ machine_arg $ kernel_arg $ size_arg 256 $ budget_arg
-      $ jobs_arg $ objective_arg $ prefilter_arg $ profile_arg $ validate_arg
+      $ objective_arg $ prefilter_arg $ profile_arg $ validate_arg
       $ faults_arg $ trials_arg $ retries_arg $ checkpoint_arg
       $ checkpoint_every_arg $ die_after_arg $ db_arg $ no_warm_start_arg
       $ sample_arg $ incremental_arg $ confirm_arg $ timeout_arg)
@@ -622,6 +611,15 @@ let check_cmd =
       value & opt int 100
       & info [ "trials" ] ~docv:"K" ~doc:"Trials per kernel.")
   in
+  let jobs_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"JOBS"
+          ~doc:
+            "Run the trials on JOBS domains; values below 1 run them \
+             serially.  The report is identical at any value; only wall \
+             time changes.")
+  in
   let max_ulps_arg =
     Arg.(
       value & opt int Check.Oracle.default_max_ulps
@@ -695,9 +693,9 @@ let run_cmd =
 
 (* --- codegen --- *)
 
-let codegen machine kernel n budget jobs fortran =
+let codegen machine kernel n budget fortran =
   let mode = mode_of_budget budget in
-  let r = Core.Eco.optimize ~mode ~jobs machine kernel ~n in
+  let r = Core.Eco.optimize ~mode machine kernel ~n in
   let program = r.Core.Eco.program in
   if fortran then print_string (Ir.Codegen_f90.file program)
   else print_string (Ir.Codegen_c.file program)
@@ -716,7 +714,7 @@ let codegen_cmd =
           (or Fortran 90) function on stdout.")
     Term.(
       const codegen $ machine_arg $ kernel_arg $ size_arg 256 $ budget_arg
-      $ jobs_arg $ fortran_arg)
+      $ fortran_arg)
 
 (* --- db (performance-database maintenance) --- *)
 
@@ -780,7 +778,7 @@ let db_cmd =
 
 (* --- serve --- *)
 
-let serve machine jobs db_file warm_start dir checkpoint_every max_live
+let serve machine db_file warm_start dir checkpoint_every max_live
     max_queue deadline watchdog watchdog_retries progress_every faults_spec =
   let service_faults =
     match faults_spec with
@@ -795,7 +793,6 @@ let serve machine jobs db_file warm_start dir checkpoint_every max_live
     {
       Serve.Daemon.default_config with
       machine;
-      jobs;
       db_file;
       warm_start;
       checkpoint_dir = dir;
@@ -908,18 +905,18 @@ let serve_cmd =
           concurrently for many clients from one shared memo, trace cache \
           and performance database.")
     Term.(
-      const serve $ machine_arg $ jobs_arg $ db_serve_arg $ warm_start_arg
+      const serve $ machine_arg $ db_serve_arg $ warm_start_arg
       $ dir_arg $ checkpoint_every_arg $ max_live_arg $ max_queue_arg
       $ deadline_arg $ watchdog_arg $ watchdog_retries_arg
       $ progress_every_arg $ serve_faults_arg)
 
 (* --- experiment --- *)
 
-let experiment jobs names =
+let experiment names =
   let print = print_endline in
   match names with
-  | [] -> Experiments.Run_all.run_everything ~print ~jobs ()
-  | names -> List.iter (Experiments.Run_all.run ~print ~jobs) names
+  | [] -> Experiments.Run_all.run_everything ~print ()
+  | names -> List.iter (Experiments.Run_all.run ~print) names
 
 let experiment_cmd =
   let names_arg =
@@ -933,7 +930,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures (see EXPERIMENTS.md).")
-    Term.(const experiment $ jobs_arg $ names_arg)
+    Term.(const experiment $ names_arg)
 
 let main_cmd =
   Cmd.group

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI entry point: build, run the full test suite, then smoke-test the
-# CLI tuner with parallel evaluation enabled.
+# CLI and the service end to end.
 set -eux
 
 dune build
@@ -10,10 +10,6 @@ dune runtest
 # transformation pipelines checked against the reference interpreter.
 dune exec bin/eco_cli.exe -- check -k matmul --seed 42 --trials 50
 dune exec bin/eco_cli.exe -- check -k jacobi3d --seed 42 --trials 50
-
-# Quick end-to-end smoke: a small tune with a 2-domain engine must
-# succeed and report the engine's telemetry line.
-dune exec bin/eco_cli.exe -- tune -k matmul -n 48 -b 50000 --jobs 2 | grep "engine:"
 
 # Evaluation-path benchmark: the same tune through the bytecode fast
 # path and the reference closure interpreter; emits BENCH_eval.json
@@ -56,16 +52,7 @@ for r in rows:
 raise SystemExit(0 if ok else 1)
 EOF
 
-# --- Worker-count determinism, sampled and incremental replay ----------
-
-# The default tune's batches and their commits must not depend on the
-# worker count: the tune at --jobs 1 and --jobs 3 must agree byte for
-# byte.
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 1 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_jobs1.txt
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --jobs 3 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_jobs3.txt
-cmp ci_jobs1.txt ci_jobs3.txt
+# --- Sampled and incremental replay ------------------------------------
 
 # Sampled + incremental equivalence smoke at the benchmarked operating
 # point (the default spec's shrink needs a search-scale trace to be
@@ -86,7 +73,7 @@ exact_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_exact_op.txt)
 sampled_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_sampled.txt)
 python3 -c "import sys; e, s = float(sys.argv[1]), float(sys.argv[2]); d = (e - s) / e * 100.0; print(f'sampled-vs-exact degradation {d:+.2f}%'); sys.exit(0 if d <= 2.0 else 1)" \
   "$exact_mf" "$sampled_mf"
-rm -f ci_jobs1.txt ci_jobs3.txt ci_exact_op.txt ci_sampled.txt
+rm -f ci_exact_op.txt ci_sampled.txt
 
 # Sampled quality at a search-scale budget: with shrink=4 sampling,
 # incremental repricing and the adaptive confirmation policy (no
@@ -119,20 +106,11 @@ dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --prefilter=0 \
 cmp ci_nofilter.txt ci_prefilter0.txt
 
 # Armed search: the model must actually skip candidates (a nonzero
-# pre-filtered count in the telemetry), and the two-stage search must
-# be deterministic across worker counts.
+# pre-filtered count in the telemetry).
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --prefilter \
   > ci_armed1.txt
 grep "engine:" ci_armed1.txt | grep -v " 0 pre-filtered"
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --prefilter --jobs 2 \
-  > ci_armed2.txt
-grep -E "^(best variant|parameters|prefetch|performance):" ci_armed1.txt \
-  > ci_armed1_ans.txt
-grep -E "^(best variant|parameters|prefetch|performance):" ci_armed2.txt \
-  > ci_armed2_ans.txt
-cmp ci_armed1_ans.txt ci_armed2_ans.txt
-rm -f ci_nofilter.txt ci_prefilter0.txt ci_armed1.txt ci_armed2.txt \
-  ci_armed1_ans.txt ci_armed2_ans.txt
+rm -f ci_nofilter.txt ci_prefilter0.txt ci_armed1.txt
 
 # Rank-agreement experiment smoke (reduced sweep; the summary line
 # reports simulations saved and worst chosen-point degradation).

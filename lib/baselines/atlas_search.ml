@@ -93,8 +93,7 @@ type result = {
 let tune engine ~n ~mode =
   let t0 = Core.Unix_time.now () in
   let candidates = grid (Core.Engine.machine engine) in
-  (* The whole grid is independent: one engine batch, parallel when the
-     engine has jobs > 1. *)
+  (* The whole grid is independent: one engine batch. *)
   let evaluations =
     Core.Engine.evaluate_batch engine
       (List.map (fun c -> request c ~n ~mode) candidates)

@@ -11,9 +11,8 @@
     Unlike ECO there are {e no models}: the tuner sweeps an exhaustive
     grid of (NB, mu, nu) and keeps the empirically best, which is why it
     needs several times more search points (paper §4.3).  The grid is
-    fully independent, so it evaluates as one engine batch — parallel
-    when the engine has [jobs > 1], memo-shared with any other strategy
-    on the same engine. *)
+    fully independent, so it evaluates as one engine batch, memo-shared
+    with any other strategy on the same engine. *)
 
 type config = {
   nb : int;

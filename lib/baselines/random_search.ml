@@ -29,9 +29,8 @@ let tune engine ~n ~mode ~points ~seed variant =
   in
   (* Candidate generation only consumes the RNG — it never looks at a
      measurement — so the whole sample is drawn up front and evaluated
-     as one independent batch (parallel when the engine has jobs > 1).
-     The set of points, and hence the winner, is identical to the old
-     sample-then-measure loop. *)
+     as one independent batch.  The set of points, and hence the
+     winner, is identical to the old sample-then-measure loop. *)
   let rec draw chosen drawn attempts =
     if drawn >= points || attempts >= points * 50 then List.rev chosen
     else

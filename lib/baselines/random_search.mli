@@ -14,8 +14,8 @@ type result = {
 
 (** [tune engine ~n ~mode ~points ~seed variant] evaluates at most
     [points] random feasible parameter settings through the engine (one
-    batch: memoized, parallel at [jobs > 1]) and returns the best
-    (deterministic for a given [seed], at any [jobs]). *)
+    batch, memoized) and returns the best (deterministic for a given
+    [seed]). *)
 val tune :
   Core.Engine.t ->
   n:int ->

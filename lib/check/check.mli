@@ -75,8 +75,8 @@ val run_case :
 (** The harness: [trials] seeded trials per kernel, each drawing either
     a random feasible point of a random derived variant or a random
     transformation pipeline, checking it, and shrinking any failure.
-    [jobs > 1] spreads trials over that many domains; the report is
-    identical at any value. *)
+    [jobs > 1] spreads trials over that many domains, and values below 1
+    run them serially; the report is identical at any value. *)
 val run :
   ?machine:Machine.t ->
   ?jobs:int ->

@@ -233,9 +233,9 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
       engine;
     }
 
-let optimize ?mode ?max_variants ?jobs ?objective ?prefilter machine kernel ~n =
+let optimize ?mode ?max_variants ?objective ?prefilter machine kernel ~n =
   optimize_with ?mode ?max_variants
-    (Engine.create ?jobs ?objective ?prefilter machine)
+    (Engine.create ?objective ?prefilter machine)
     kernel ~n
 
 let remeasure ?(mode = Executor.default_budget) machine result ~n =

@@ -10,12 +10,9 @@
       Format.printf "best: %.1f MFLOPS@." result.Core.Eco.measurement.Core.Executor.mflops
     ]}
 
-    All candidate measurement flows through one {!Engine}: pass [~jobs]
-    to evaluate independent candidate batches on a domain pool
-    ([jobs = 1], the default, is serial and bit-for-bit deterministic;
-    any [jobs] finds the same best point), or use {!optimize_with} to
-    share an engine — and its measurement memo — across several
-    optimizations, strategies or experiments. *)
+    All candidate measurement flows through one {!Engine}; use
+    {!optimize_with} to share an engine — and its measurement memo —
+    across several optimizations, strategies or experiments. *)
 
 type result = {
   outcome : Search.outcome;  (** winning variant and parameters *)
@@ -62,7 +59,6 @@ val infeasibility_code : infeasibility -> string
       {!Executor.default_budget}).
     @param max_variants variants kept for full search after a one-point
       model-initial triage of everything phase 1 derived (default 4).
-    @param jobs evaluation parallelism (default 1; [0] = all cores).
     @param objective what the search minimizes (default
       [Objective.Cycles], the historical behaviour; [Energy] minimizes
       modelled energy instead).
@@ -74,7 +70,6 @@ val infeasibility_code : infeasibility -> string
 val optimize :
   ?mode:Executor.mode ->
   ?max_variants:int ->
-  ?jobs:int ->
   ?objective:Objective.t ->
   ?prefilter:int ->
   Machine.t ->

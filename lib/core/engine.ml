@@ -162,7 +162,6 @@ type memo_entry =
 
 type t = {
   machine : Machine.t;
-  jobs : int;
   faults : Faults.t;
   protocol : protocol;
   memo : (fingerprint, memo_entry) Hashtbl.t;
@@ -240,9 +239,8 @@ type t = {
 let max_trace_entries = 8
 let max_trace_words = 6_000_000
 
-let create ?(jobs = 1) ?(faults = Faults.none) ?(protocol = default_protocol)
+let create ?(faults = Faults.none) ?(protocol = default_protocol)
     ?(objective = Objective.Cycles) ?prefilter machine =
-  let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
   let prefilter =
     match prefilter with Some k when k >= 1 -> Some k | _ -> None
   in
@@ -255,7 +253,6 @@ let create ?(jobs = 1) ?(faults = Faults.none) ?(protocol = default_protocol)
   in
   {
     machine;
-    jobs;
     faults;
     protocol;
     memo = Hashtbl.create 256;
@@ -285,7 +282,6 @@ let create ?(jobs = 1) ?(faults = Faults.none) ?(protocol = default_protocol)
   }
 
 let machine t = t.machine
-let jobs t = t.jobs
 let protocol t = t.protocol
 let objective t = t.objective
 let prefilter t = t.prefilter
@@ -548,8 +544,7 @@ let build t r = build_program t.machine (canonical r)
 (* Serve a memo miss from the on-disk exact-hit tier: unmarshal the
    persisted measurement, value-identical to a fresh simulation.  An
    unreadable payload falls through to a fresh simulation rather than
-   failing the request.  Runs only on the coordinator, so counters and
-   the memo mutate in request order. *)
+   failing the request. *)
 let db_serve t ?log fp =
   (* Sampled estimates never enter or leave the database: it stores
      exact measurements only. *)
@@ -594,9 +589,8 @@ let db_append t (r : request) fp (m : Executor.measurement) =
 
 (* --- one clean (deterministic) measurement --------------------------- *)
 
-(* The pure worker core: no engine state touched, safe on any domain.
-   Hierarchy state comes from the per-domain pools in [Executor], so
-   concurrent simulations share nothing.  [Invalid_argument] escapes to
+(* The measurement core: no engine state touched, so a batch can measure
+   all its units before committing any.  [Invalid_argument] escapes to
    [task_of], which maps it to a typed reason. *)
 type clean =
   | Clean of Executor.measurement
@@ -618,9 +612,9 @@ let clean_simulate ?sampling ~work machine (r : request) =
 
 (* --- the resilient measurement protocol ------------------------------ *)
 
-(* Per-candidate telemetry carried back to the coordinator: the workers
-   stay engine-state-free.  A sweep group's simulator work rides on its
-   first member's. *)
+(* Per-candidate telemetry, held until the candidate commits so that a
+   checkpoint never counts an uncommitted measurement.  A sweep group's
+   simulator work rides on its first member's. *)
 type tele = {
   t_retries : int;
   t_trials : int;
@@ -648,8 +642,8 @@ type raw =
      spread is tight.
 
    Pure: every random draw is keyed by [(key, trial, attempt)], so a
-   candidate's outcome is identical at any [--jobs], in any evaluation
-   order and on any measurement route. *)
+   candidate's outcome is identical in any evaluation order and on any
+   measurement route. *)
 let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
     ~(protocol : protocol) ~key clean =
   let retries = ref 0
@@ -798,9 +792,10 @@ let traceable (r : request) =
 
 (* Find or capture the demand trace of a re-priced sweep group's base
    point; [None] for an uncapturable point (its members are then
-   measured directly).  Runs on the coordinator: workers never touch
-   the cache, they reuse the trace pinned into their unit's closure.
-   Reuse counts a trace hit; the capturing group itself does not. *)
+   measured directly).  Runs while the batch's units are built; the
+   unit's closure pins the trace, so a later group's capture cannot
+   evict it from under the unit.  Reuse counts a trace hit; the
+   capturing group itself does not. *)
 let group_trace t (r : request) fp =
   let key = trace_key fp in
   match trace_find t key with
@@ -808,10 +803,9 @@ let group_trace t (r : request) fp =
   | None -> trace_fill t r key
 
 (* Build the pure task measuring one memo miss on its own
-   (engine-state-free, safe on any worker domain): a direct measurement,
-   then the [protect] tail.  [Invalid_argument] from building or running
-   the program is a malformed program; any other exception is a bug and
-   propagates. *)
+   (engine-state-free): a direct measurement, then the [protect] tail.
+   [Invalid_argument] from building or running the program is a
+   malformed program; any other exception is a bug and propagates. *)
 let task_of ?protocol ?trial_base t (r : request) fp =
   let machine = t.machine
   and faults = t.faults
@@ -1064,8 +1058,8 @@ let count_failure t reason =
   | Timeout -> s.failed_timeout <- s.failed_timeout + 1
   | Quarantined -> s.failed_quarantined <- s.failed_quarantined + 1
 
-(* Commit one fresh result: memo table, telemetry, log — always on the
-   coordinating domain, always in request order. *)
+(* Commit one fresh result: memo table, telemetry, log — always in
+   request order. *)
 let commit t ?log (r : request) fp raw =
   match raw with
   | Measured (m, tl) ->
@@ -1171,34 +1165,6 @@ let confirm t r ~trials =
       None
   end
 
-(* Strided parallel map: worker [w] takes indices w, w+jobs, w+2*jobs...
-   so neighbouring (similarly-sized) candidates spread across domains.
-   Batches too small to amortize the domain spawns run serially — the
-   result is identical either way (commit order is fixed by the caller),
-   only the wall time differs. *)
-let parallel_map jobs f arr =
-  let n = Array.length arr in
-  let out = Array.make n None in
-  let jobs = if n < 2 * jobs then 1 else jobs in
-  if jobs <= 1 then Array.iteri (fun i x -> out.(i) <- Some (f x)) arr
-  else begin
-    let domains =
-      List.init jobs (fun w ->
-          Domain.spawn (fun () ->
-              let acc = ref [] in
-              let i = ref w in
-              while !i < n do
-                acc := (!i, f arr.(!i)) :: !acc;
-                i := !i + jobs
-              done;
-              !acc))
-    in
-    List.iter
-      (fun d -> List.iter (fun (i, r) -> out.(i) <- Some r) (Domain.join d))
-      domains
-  end;
-  Array.map Option.get out
-
 let note_prefiltered t ?log () =
   t.stats.prefiltered <- t.stats.prefiltered + 1;
   match log with Some log -> Search_log.note_prefiltered log | None -> ()
@@ -1258,8 +1224,8 @@ let note_confirm_skipped t = t.stats.confirm_skipped <- t.stats.confirm_skipped 
    by plan from the captured trace ([Demand_trace.measure_plans]).
    Every measured member then goes
    through [protect], exactly as if it had been measured on its own.
-   The returned thunk is engine-state-free, so it can run on any worker
-   domain. *)
+   The returned thunk is engine-state-free: its results commit after
+   the whole batch is measured. *)
 let group_unit t members =
   let r0, fp0, _ = members.(0) in
   match group_trace t r0 fp0 with
@@ -1278,8 +1244,7 @@ let group_unit t members =
     let kernel = r0.variant.Variant.kernel in
     let n = r0.n in
     let plans = Array.map (fun ((r : request), _, _) -> r.prefetch) members in
-    (* Written by the thunk on its worker domain, read by the
-       coordinator only after [Domain.join] — no race. *)
+    (* set by the thunk: the members a joint re-pricing estimated *)
     let joint = ref 0 in
     let thunk () =
       let work = Executor.work () in
@@ -1351,9 +1316,8 @@ let evaluate_batch t ?log reqs =
     end);
   (* Plan: classify each request as pre-filtered, a replayed verdict, a
      memo hit, a duplicate of an earlier slot, or a scheduled miss.
-     Each miss becomes a pure task built on the coordinator.  The plan
-     runs at any [jobs] (including 1), so the sweep groups — and hence
-     every downstream number — are identical at any parallelism. *)
+     Each miss becomes a pure task, measured after the plan is
+     complete and committed in request order. *)
   let slots = Hashtbl.create 16 in
   let t0 = Unix_time.now () in
   let plan =
@@ -1385,7 +1349,7 @@ let evaluate_batch t ?log reqs =
      trajectory — is identical to the run that populated the
      database, and a fully-populated rerun replays with zero fresh
      simulations.  (A skipped candidate stays skipped even when it is
-     on disk, for the same reason.)  Lookups run on the coordinator. *)
+     on disk, for the same reason.) *)
   let served = Hashtbl.create 16 in
   List.iter
     (fun (_, fp, _) ->
@@ -1437,7 +1401,7 @@ let evaluate_batch t ?log reqs =
   in
   let units = Array.of_list units in
   let t0 = Unix_time.now () in
-  let results = parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units in
+  let results = Array.map (fun (_, _, thunk) -> thunk ()) units in
   t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
   Array.iter
     (fun (_, joint, _) ->

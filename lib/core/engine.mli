@@ -3,8 +3,8 @@
 
     The paper's argument (§3.2, §4.3) is that model pruning keeps the
     {e number} of empirical evaluations small; this module makes each
-    remaining evaluation as cheap as possible, lets independent
-    candidates overlap, and survives a hostile measurement substrate:
+    remaining evaluation as cheap as possible and survives a hostile
+    measurement substrate:
 
     - {b Memoization} — measurements are keyed by a canonical
       fingerprint [(kernel, variant shape, n, mode, bindings,
@@ -27,21 +27,19 @@
       Only a prefetch plan whose every distance is at least 1 joins a
       group; a shorter distance has no program, and fails as
       {!Malformed_program} on the direct route.
-    - {b Parallelism} — [evaluate_batch] runs memo misses on a pool of
-      [jobs] domains (hierarchy state comes from per-domain pools, so
-      workers share nothing).  Results are committed to the memo table,
-      telemetry and the {!Search_log} in request order, so a batch
-      produces bit-for-bit the same state at any [jobs]; [jobs = 1]
-      additionally evaluates serially in request order.
+    - {b One domain} — [evaluate_batch] measures its memo misses one
+      at a time, as the paper's phase 2 times each candidate on the
+      target machine, and commits them to the memo table, telemetry
+      and the {!Search_log} in request order.
     - {b Fault tolerance} — with a {!Faults.t} plan and a {!protocol},
       each candidate is measured under a resilient protocol: repeated
       trials aggregated by median/trimmed mean with adaptive early
       stop, bounded retry on transient failures and hangs, a
       deterministic simulated-cycle deadline, and quarantine when the
       retry budget is exhausted.  Every fault draw is keyed by the
-      candidate fingerprint, so results stay bit-identical at any
-      [jobs].  A measurement that raises [Invalid_argument] fails as
-      {!Malformed_program}; any other exception is a bug and
+      candidate fingerprint, so results stay bit-identical in any
+      evaluation order.  A measurement that raises [Invalid_argument]
+      fails as {!Malformed_program}; any other exception is a bug and
       propagates.
     - {b Crash-only persistence} — {!set_checkpoint} periodically
       persists the memo table and the counter record;
@@ -53,9 +51,8 @@
       evaluation), read as a {!stats} snapshot; the {!Search_log}
       counts each search's share of a shared engine.
 
-    An engine is bound to one machine model.  It is not itself
-    thread-safe: call it from one coordinating domain and let it spread
-    batches over its own workers. *)
+    An engine is bound to one machine model.  It is not thread-safe:
+    call it from one domain. *)
 
 type t
 
@@ -105,10 +102,8 @@ type protocol = {
     clock bound is {!set_deadline}. *)
 val default_protocol : protocol
 
-(** [create ?jobs ?faults ?protocol ?objective ?prefilter machine]
-    makes an engine for [machine].  [jobs] defaults to 1 (serial,
-    deterministic evaluation order); [0] selects
-    [Domain.recommended_domain_count ()].  [faults] (default
+(** [create ?faults ?protocol ?objective ?prefilter machine] makes an
+    engine for [machine].  [faults] (default
     {!Faults.none}) injects seeded measurement faults; [protocol]
     (default {!default_protocol}) configures the resilient measurement
     protocol.  With the defaults — no active fault plan and
@@ -127,11 +122,10 @@ val default_protocol : protocol
     memoized, so a later request can still measure them.  The skipped
     set is a pure function of the batch: what a shared memo already
     holds cannot change what a search sees, so results stay
-    bit-identical at any [jobs] and across daemon sessions.
+    bit-identical across daemon sessions.
     Memoization, the fault protocol and checkpointing are
     unaffected. *)
 val create :
-  ?jobs:int ->
   ?faults:Faults.t ->
   ?protocol:protocol ->
   ?objective:Objective.t ->
@@ -140,7 +134,6 @@ val create :
   t
 
 val machine : t -> Machine.t
-val jobs : t -> int
 val protocol : t -> protocol
 val objective : t -> Objective.t
 val prefilter : t -> int option
@@ -241,10 +234,8 @@ val note_confirm_skipped : t -> unit
     ([cached = true], counted as a [db_hit]), and every fresh {e
     successful} measurement is appended back, one flushed frame per
     record, deduplicated by key.  Pruned, failed and quarantined
-    candidates are never persisted.  Lookups and appends happen only on
-    the coordinating domain, in request order, so results stay
-    bit-identical at any [jobs] — and an empty database changes nothing
-    at all. *)
+    candidates are never persisted.  Lookups and appends happen in
+    request order — and an empty database changes nothing at all. *)
 
 (** Attach a database.  [warm_start] (default true) additionally offers
     it to [Search] for nearest-neighbor transfer seeding ({!warm_db});
@@ -314,9 +305,9 @@ val evaluate : t -> ?log:Search_log.t -> request -> evaluation option
 
 (** Evaluate an independent batch; result list is in request order.
     Memo hits and duplicate requests within the batch are simulated at
-    most once; the remaining misses run on the domain pool when
-    [jobs t > 1].  Identical results (and identical log contents) to
-    repeated {!evaluate} calls in list order. *)
+    most once.  The pre-filter and incremental re-pricing act on whole
+    batches only; without them, results (and log contents) are
+    identical to repeated {!evaluate} calls in list order. *)
 val evaluate_batch :
   t -> ?log:Search_log.t -> request list -> evaluation option list
 
@@ -492,7 +483,7 @@ type stats = private {
       (** re-priced sweep groups served by a cached demand trace *)
   mutable trace_fills : int;  (** demand traces captured *)
   mutable fill_seconds : float;
-      (** coordinator-side wall time spent capturing demand traces
+      (** wall time spent capturing demand traces
           (variant instantiation + VM run + event copy) — outside
           [eval_seconds] *)
   mutable vm_events : int;

@@ -36,9 +36,9 @@ type measurement = {
   timings : timings;
 }
 
-(* Per-domain buffer pool: repeated evaluations on one domain (the
-   common case — each engine worker streams candidates) reuse the same
-   event and mark buffers instead of reallocating per candidate. *)
+(* Per-domain buffer pool: repeated evaluations on one domain reuse the
+   same event and mark buffers instead of reallocating per candidate;
+   [eco check]'s trial domains each get their own. *)
 let buffers : (Ir.Vm.Buf.t * Ir.Vm.Buf.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       (Ir.Vm.Buf.create ~capacity:(1 lsl 16) (), Ir.Vm.Buf.create ~capacity:4096 ()))

@@ -96,11 +96,11 @@ let evaluate st ~bindings ~prefetch =
    top of [init]:
 
    - [sweep]: an independent neighbourhood as ONE engine batch —
-     parallel when the engine has jobs > 1, ranked as a whole by the
-     pre-filter, and, under the incremental re-pricer, its prefetch
-     siblings of one point priced together as a sweep group.  The
-     members' order is part of the answer: the pre-filter breaks score
-     ties by position and results commit in request order.
+     ranked as a whole by the pre-filter, and, under the incremental
+     re-pricer, its prefetch siblings of one point priced together as
+     a sweep group.  The members' order is part of the answer: the
+     pre-filter breaks score ties by position and results commit in
+     request order.
    - [anchors]: single evaluations in order.  A one-point batch is not
      the same thing: it also runs the engine's batch-boundary hook (the
      daemon's scheduling point), and the pre-filter never skips a lone

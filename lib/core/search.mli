@@ -33,9 +33,7 @@
     Every evaluation goes through the {!Engine}: candidates violating
     the phase-1 constraints are pruned without execution, repeat points
     (across stages, variants, or strategies sharing the engine) are
-    served from its memo table, and sweeps evaluate as batches — in
-    parallel when the engine has [jobs > 1], with identical results
-    either way.
+    served from its memo table, and sweeps evaluate as batches.
 
     Candidates are compared under the engine's {!Objective}
     ({!Engine.objective}): with the default [Cycles] the comparisons are

@@ -1,9 +1,6 @@
-(* Wall-clock time.  The evaluation engine runs candidate batches on a
-   pool of domains, so CPU time (the old implementation) no longer
-   reflects search latency: a parallel search burns the same CPU seconds
-   but finishes earlier.  Search-cost accounting therefore uses wall
-   time, which is what the paper's "machine time to evaluate candidates"
-   means once evaluations overlap. *)
+(* Wall-clock time: the paper's "machine time to evaluate candidates" is
+   elapsed time, so search-cost accounting uses it rather than CPU
+   time. *)
 let now () = Unix.gettimeofday ()
 
 let cpu () = Sys.time ()

@@ -1,5 +1,5 @@
-(** Wall-clock seconds (epoch-based): search-cost accounting that stays
-    meaningful when candidate evaluations run in parallel. *)
+(** Wall-clock seconds (epoch-based): search-cost accounting reports
+    elapsed time, as the paper's search times are. *)
 val now : unit -> float
 
 (** Process CPU seconds, for callers that want the serial-work measure. *)

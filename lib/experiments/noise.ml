@@ -14,14 +14,14 @@ let transient = 0.02
 let cases () =
   [ (Kernels.Matmul.kernel, 96); (Kernels.Jacobi3d.kernel, 40) ]
 
-let run ?(machine = Machine.sgi_r10000) ?(jobs = 1) () =
+let run ?(machine = Machine.sgi_r10000) () =
   let mode = Config.budget () in
   List.concat_map
     (fun ((kernel : Kernels.Kernel.t), n) ->
       (* The fault-free reference: the optimum the search finds when it
          can trust every measurement.  Also the engine every chosen
          point is re-measured on, so degradations compare true costs. *)
-      let clean = Core.Engine.create ~jobs machine in
+      let clean = Core.Engine.create machine in
       let reference = Core.Eco.optimize_with ~mode clean kernel ~n in
       let c_ref = Core.Executor.cycles reference.Core.Eco.measurement in
       List.map
@@ -52,9 +52,7 @@ let run ?(machine = Machine.sgi_r10000) ?(jobs = 1) () =
             let protocol =
               { Core.Engine.default_protocol with trials; min_trials = trials }
             in
-            let engine =
-              Core.Engine.create ~jobs ~faults ~protocol machine
-            in
+            let engine = Core.Engine.create ~faults ~protocol machine in
             let r = Core.Eco.optimize_with ~mode engine kernel ~n in
             let o = r.Core.Eco.outcome in
             (* What the noisy search chose, at its true (clean) cost. *)

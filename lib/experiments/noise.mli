@@ -24,5 +24,5 @@ type entry = {
   retries : int;  (** protocol retries it absorbed *)
 }
 
-val run : ?machine:Machine.t -> ?jobs:int -> unit -> entry list
+val run : ?machine:Machine.t -> unit -> entry list
 val render : entry list -> string list

@@ -9,7 +9,7 @@ let banner print title =
   print title;
   print (String.make 72 '=')
 
-let run ~print ?(jobs = 1) name =
+let run ~print name =
   match name with
   | "table1" ->
     banner print "Table 1: performance variation with optimization parameters (SGI)";
@@ -34,7 +34,7 @@ let run ~print ?(jobs = 1) name =
     List.iter print (Fig5.render (Fig5.run Machine.ultrasparc_iie))
   | "search_cost" ->
     banner print "Section 4.3: cost of search";
-    List.iter print (Search_cost.render (Search_cost.run ~jobs ()))
+    List.iter print (Search_cost.render (Search_cost.run ()))
   | "ablation" ->
     banner print "Ablation: models vs search vs hybrid; copy and prefetch (SGI MM)";
     List.iter print (Ablation.render (Ablation.run ()))
@@ -49,7 +49,7 @@ let run ~print ?(jobs = 1) name =
     List.iter print (Conflicts.render (Conflicts.run ()))
   | "noise" ->
     banner print "Extension: noise sensitivity of the guided search (SGI)";
-    List.iter print (Noise.render (Noise.run ~jobs ()))
+    List.iter print (Noise.render (Noise.run ()))
   | "rankcheck" ->
     banner print
       "Extension: analytical-model rank agreement and pre-filter cost";
@@ -66,5 +66,4 @@ let run ~print ?(jobs = 1) name =
       (Printf.sprintf "unknown experiment %s (known: %s)" other
          (String.concat ", " names))
 
-let run_everything ~print ?(jobs = 1) () =
-  List.iter (run ~print ~jobs) names
+let run_everything ~print () = List.iter (run ~print) names

@@ -4,9 +4,7 @@
 val names : string list
 
 (** [run ~print name] runs one experiment; raises [Invalid_argument] on
-    unknown names.  [jobs] sets the evaluation parallelism for the
-    experiments that expose it (currently the search-cost comparison);
-    results are identical at any [jobs]. *)
-val run : print:(string -> unit) -> ?jobs:int -> string -> unit
+    unknown names. *)
+val run : print:(string -> unit) -> string -> unit
 
-val run_everything : print:(string -> unit) -> ?jobs:int -> unit -> unit
+val run_everything : print:(string -> unit) -> unit -> unit

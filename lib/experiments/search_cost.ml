@@ -27,15 +27,14 @@ let atlas_entry engine ~n ~mode =
     best_mflops = r.Baselines.Atlas_search.measurement.Core.Executor.mflops;
   }
 
-let run ?mode ?(jobs = 1) () =
+let run ?mode () =
   let mode = match mode with Some m -> m | None -> Config.budget () in
   let mm_n = Config.mm_tune_size () and j_n = Config.jacobi_tune_size () in
   List.concat_map
     (fun machine ->
       (* One engine per machine: the three searches share its memo
-         table, and jobs > 1 spreads each one's candidate batches over
-         the domain pool. *)
-      let engine = Core.Engine.create ~jobs machine in
+         table. *)
+      let engine = Core.Engine.create machine in
       [
         eco_entry engine Kernels.Matmul.kernel ~n:mm_n ~mode "ECO MM";
         atlas_entry engine ~n:mm_n ~mode;

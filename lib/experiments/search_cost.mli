@@ -4,8 +4,7 @@
     ECO points for MM (8/6 min) and 94/148 for Jacobi, with the ATLAS
     search 2–4x slower; the reproduction's claim is the same ordering:
     ECO needs several times fewer points and less time than the
-    un-guided search.  [jobs > 1] evaluates candidate batches in
-    parallel (same points and winners; less wall time). *)
+    un-guided search. *)
 
 type entry = {
   what : string;
@@ -15,5 +14,5 @@ type entry = {
   best_mflops : float;
 }
 
-val run : ?mode:Core.Executor.mode -> ?jobs:int -> unit -> entry list
+val run : ?mode:Core.Executor.mode -> unit -> entry list
 val render : entry list -> string list

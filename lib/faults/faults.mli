@@ -12,8 +12,8 @@
 
     Every random decision is drawn from a splitmix64 stream keyed by
     [(seed, candidate key, trial, attempt)], so the injected faults are
-    a pure function of the candidate — bit-identical at any evaluation
-    order, any [--jobs] setting, and on any platform. *)
+    a pure function of the candidate — bit-identical in any evaluation
+    order and on any platform. *)
 
 type t = {
   active : bool;  (** [false] = {!none}: the plan injects nothing *)

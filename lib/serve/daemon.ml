@@ -21,7 +21,6 @@ module Unix_time = Core.Unix_time
 
 type config = {
   machine : Machine.t;
-  jobs : int;
   db_file : string option;
   warm_start : bool;
   checkpoint_dir : string;
@@ -39,7 +38,6 @@ type config = {
 let default_config =
   {
     machine = Machine.sgi_r10000;
-    jobs = 1;
     db_file = None;
     warm_start = false;
     checkpoint_dir = ".eco-serve";
@@ -603,8 +601,8 @@ and engine_for d req =
   | Some e -> e
   | None ->
     let e =
-      Engine.create ~jobs:d.cfg.jobs ~objective:req.objective
-        ?prefilter:req.prefilter req.rmachine
+      Engine.create ~objective:req.objective ?prefilter:req.prefilter
+        req.rmachine
     in
     (match d.db with
     | Some db -> Engine.set_db e ~warm_start:d.cfg.warm_start db

@@ -47,7 +47,6 @@
 
 type config = {
   machine : Machine.t;  (** default machine for requests that name none *)
-  jobs : int;  (** evaluation parallelism per engine *)
   db_file : string option;  (** shared performance database *)
   warm_start : bool;
       (** enable nearest-neighbor transfer seeding (default off in the
@@ -67,7 +66,7 @@ type config = {
   service_faults : Faults.Service.t;
 }
 
-(** Defaults: the [sgi] machine, [jobs = 1], no database, warm starts
+(** Defaults: the [sgi] machine, no database, warm starts
     off, [.eco-serve] checkpoint dir, [checkpoint_every = 16],
     [max_live = 2], [max_queue = 8], no default deadline, watchdog off
     ([watchdog_s = 0.], 2 retries, 0.05s backoff), progress every

@@ -58,7 +58,8 @@ let test_deterministic_across_jobs () =
       (Check.run ~machine ~jobs ~seed:9 ~trials:6
          [ matmul; Kernels.Jacobi3d.kernel ])
   in
-  Alcotest.(check string) "jobs=1 vs jobs=3" (run 1) (run 3)
+  Alcotest.(check string) "jobs=1 vs jobs=3" (run 1) (run 3);
+  Alcotest.(check string) "jobs=1 vs jobs=0" (run 1) (run 0)
 
 (* --- sampler edges --- *)
 

@@ -230,24 +230,6 @@ let test_prefilter_off_identical () =
     (Core.Engine.stats a.Core.Eco.engine).Core.Engine.fresh
     (Core.Engine.stats b.Core.Eco.engine).Core.Engine.fresh
 
-let test_prefilter_deterministic_across_jobs () =
-  let kernel = Kernels.Matmul.kernel in
-  let n = 48 in
-  let run jobs =
-    Core.Eco.optimize ~jobs ~prefilter:Core.Engine.default_prefilter
-      small_machine kernel ~n
-  in
-  let a = run 1 and b = run 2 in
-  Alcotest.(check bool) "same bindings at jobs 1 and 2" true
-    (a.Core.Eco.outcome.Core.Search.bindings
-    = b.Core.Eco.outcome.Core.Search.bindings);
-  Alcotest.(check bool) "same prefetch" true
-    (a.Core.Eco.outcome.Core.Search.prefetch
-    = b.Core.Eco.outcome.Core.Search.prefetch);
-  Alcotest.(check (float 1e-9)) "same cycles"
-    (Core.Executor.cycles a.Core.Eco.measurement)
-    (Core.Executor.cycles b.Core.Eco.measurement)
-
 let test_engine_search_smoke_3level () =
   (* The engine + armed search run end to end on the 3-level machine. *)
   let r =
@@ -276,8 +258,6 @@ let suite =
       test_prefilter_reduces_simulations;
     Alcotest.test_case "prefilter off identical" `Quick
       test_prefilter_off_identical;
-    Alcotest.test_case "prefilter deterministic across jobs" `Quick
-      test_prefilter_deterministic_across_jobs;
     Alcotest.test_case "engine search smoke on 3-level" `Quick
       test_engine_search_smoke_3level;
   ]

@@ -764,23 +764,12 @@ let test_trace_lru_eviction () =
 
 (* --- engine/search level guarantees ----------------------------------- *)
 
-let optimize ?prefilter ?sampling ?(incremental = false) ?(jobs = 1) () =
-  let engine = Core.Engine.create ~jobs ?prefilter sgi in
+let optimize ?prefilter ?sampling ?(incremental = false) () =
+  let engine = Core.Engine.create ?prefilter sgi in
   Core.Engine.set_sampling engine sampling;
   Core.Engine.set_incremental engine incremental;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:48 in
   (r, Core.Engine.stats engine)
-
-let test_sampled_search_jobs_deterministic () =
-  let a, _ =
-    optimize ~sampling:Memsim.Sampling.default ~incremental:true ~jobs:1 ()
-  in
-  let b, _ =
-    optimize ~sampling:Memsim.Sampling.default ~incremental:true ~jobs:3 ()
-  in
-  Alcotest.(check bool) "jobs-independent winner" true
-    (Core.Executor.cycles a.Core.Eco.measurement
-    = Core.Executor.cycles b.Core.Eco.measurement)
 
 let test_sampled_search_winner_is_exact () =
   let r, stats = optimize ~sampling:Memsim.Sampling.default () in
@@ -896,8 +885,6 @@ let suite =
     Alcotest.test_case "jacobi3d thrash group re-prices" `Quick
       test_jacobi3d_thrash_group_reprices;
     Alcotest.test_case "demand-trace LRU eviction" `Slow test_trace_lru_eviction;
-    Alcotest.test_case "sampled search jobs-deterministic" `Slow
-      test_sampled_search_jobs_deterministic;
     Alcotest.test_case "sampled search winner is exact" `Slow
       test_sampled_search_winner_is_exact;
     Alcotest.test_case "incremental repricing engages" `Slow

@@ -446,7 +446,7 @@ let test_engine_paths_agree () =
      nothing captures a demand trace. *)
   let direct_stats = Core.Engine.stats fast_engine in
   check_int "no single-shot trace fill" 0 direct_stats.Core.Engine.trace_fills;
-  (* Batch evaluation (parallel workers) matches the serial path. *)
+  (* Batch evaluation matches the single-evaluation path. *)
   let check_batch what engine requests =
     List.iteri
       (fun i (b, r) ->
@@ -458,7 +458,7 @@ let test_engine_paths_agree () =
             b.Core.Engine.measurement (reference r))
       (List.combine (Core.Engine.evaluate_batch engine requests) requests)
   in
-  let batch_engine = Core.Engine.create ~jobs:3 machine in
+  let batch_engine = Core.Engine.create machine in
   check_batch "batch" batch_engine requests;
   let bstats = Core.Engine.stats batch_engine in
   check_int "no batched trace fill" 0 bstats.Core.Engine.trace_fills;
@@ -467,7 +467,7 @@ let test_engine_paths_agree () =
      one bindings point, so they form one group over a single captured
      trace.  Their plans bind different arrays, which the re-pricer
      declines, so the group is measured by one multi-plan walk. *)
-  let repricing = Core.Engine.create ~jobs:3 machine in
+  let repricing = Core.Engine.create machine in
   Core.Engine.set_incremental repricing true;
   check_batch "walked" repricing requests;
   let rstats = Core.Engine.stats repricing in
