@@ -195,28 +195,15 @@ let tune machine kernel n budget objective prefilter profile validate
   (match checkpoint with
   | None -> ()
   | Some file -> (
-    (* The tag encodes everything that determines the answer, so a
-       stale checkpoint from a different run cannot be resumed. *)
     let tag =
-      Printf.sprintf
-        "tune|m=%s|k=%s|n=%d|b=%d|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s"
-        machine.Machine.name kernel.Kernels.Kernel.name n budget
-        (Faults.to_spec faults) trials retries
-        (Core.Objective.to_string objective)
-        (match prefilter with Some k -> string_of_int k | None -> "off")
-      ^ Printf.sprintf "|db=%s"
+      Core.Eco.checkpoint_tag ~machine ~kernel:kernel.Kernels.Kernel.name ~n
+        ~budget ~faults ~protocol ~objective ~prefilter
+        ~db:
           (match db_file with
-          | None -> "off"
-          | Some _ when no_warm_start -> "exact"
-          | Some _ -> "warm")
-      ^ Printf.sprintf "|sample=%s|incr=%s|confirm=%s"
-          (match sampling with
-          | Some sp -> Memsim.Sampling.to_string sp
-          | None -> "off")
-          (if incremental then "on" else "off")
-          (match confirm with
-          | Some k -> string_of_int k
-          | None -> "adaptive")
+          | None -> `Off
+          | Some _ when no_warm_start -> `Exact
+          | Some _ -> `Warm)
+        ~sampling ~incremental ~confirm
     in
     Core.Engine.set_checkpoint engine ~every:checkpoint_every ~tag file;
     match Core.Engine.load_checkpoint engine ~tag file with

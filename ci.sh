@@ -23,16 +23,13 @@ grep "speedup" BENCH_eval.json
 # bench kernels (matvec / stencil2d / wavefront) track their numbers
 # without a quality gate — their tiny exact searches make the
 # degradation column a search-shape artifact, not an estimator error.
-# Per-kernel sweep bars: matmul must hold the re-priced (or re-priced
-# and sampled) K=24 sweep at >= 12x over per-plan exact replay, jacobi3d
-# (the former 1.10x stencil gap) at >= 4x, every other kernel at >= 2x.
-# The replay tier's cost is gated as work in `dune runtest` (`replay
-# sampled search work share bounded`), not as an evals/s ratio.
+# The replay tier's cost is gated as work in `dune runtest`, not as an
+# evals/s ratio: `replay sampled search work share bounded`, and `replay
+# reprice: base and best measured exactly` over the K=24 sweep.
 python3 - <<'EOF'
 import json
 rows = json.load(open("BENCH_eval.json"))
 seed = {"matmul": 275.4, "jacobi3d": 97.2}
-sweep_bar = {"matmul": 12.0, "jacobi3d": 4.0}
 ok = True
 for r in rows:
     k = r["kernel"]
@@ -44,11 +41,6 @@ for r in rows:
         if r["replay_degradation_pct"] > 2.0:
             print(f'{k}: replay degradation {r["replay_degradation_pct"]:+.2f}% > 2%')
             ok = False
-    sweep = max(r["sweep_speedup"], r["sweep_sampled_speedup"])
-    if sweep < sweep_bar.get(k, 2.0):
-        print(f'{k}: best sweep speedup {sweep:.1f}x < {sweep_bar.get(k, 2.0):.0f}x bar')
-        ok = False
-    print(f'eval gate: {k} sweep {sweep:.1f}x')
 raise SystemExit(0 if ok else 1)
 EOF
 

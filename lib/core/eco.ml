@@ -269,3 +269,30 @@ let remeasure ?(mode = Executor.default_budget) machine result ~n =
   with
   | Some outcome -> Some outcome.Search.measurement
   | None -> None
+
+let checkpoint_tag ~machine ~kernel ~n ~budget ~faults
+    ~(protocol : Engine.protocol) ~objective ~prefilter ~db ~sampling
+    ~incremental ~confirm =
+  String.concat "|"
+    [
+      "tune";
+      "m=" ^ machine.Machine.name;
+      "k=" ^ kernel;
+      "n=" ^ string_of_int n;
+      "b=" ^ string_of_int budget;
+      "faults=" ^ Faults.to_spec faults;
+      "trials=" ^ string_of_int protocol.trials;
+      "retries=" ^ string_of_int protocol.max_retries;
+      "obj=" ^ Objective.to_string objective;
+      ("pf=" ^ match prefilter with Some k -> string_of_int k | None -> "off");
+      ("db="
+      ^ match db with `Off -> "off" | `Warm -> "warm" | `Exact -> "exact");
+      ("sample="
+      ^
+      match sampling with
+      | Some sp -> Memsim.Sampling.to_string sp
+      | None -> "off");
+      ("incr=" ^ if incremental then "on" else "off");
+      ("confirm="
+      ^ match confirm with Some k -> string_of_int k | None -> "adaptive");
+    ]

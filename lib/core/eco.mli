@@ -95,3 +95,26 @@ val optimize_with :
     their parameters across sizes, as the paper's ECO versions do).
     Reuses the result's engine when [machine] matches it. *)
 val remeasure : ?mode:Executor.mode -> Machine.t -> result -> n:int -> Executor.measurement option
+
+(** The checkpoint tag of a tune: everything that determines its answer
+    (machine, kernel name, n, flop budget, fault plan, trials and
+    retries, objective, pre-filter, database mode, sampling spec,
+    incremental re-pricing and confirmation override), so
+    {!Engine.load_checkpoint} refuses a checkpoint another
+    configuration wrote.  [eco tune] and [eco serve] both tag with it;
+    the daemon also names a session's checkpoint and request files by
+    its digest, so the format must not change. *)
+val checkpoint_tag :
+  machine:Machine.t ->
+  kernel:string ->
+  n:int ->
+  budget:int ->
+  faults:Faults.t ->
+  protocol:Engine.protocol ->
+  objective:Objective.t ->
+  prefilter:int option ->
+  db:[ `Off | `Warm | `Exact ] ->
+  sampling:Memsim.Sampling.t option ->
+  incremental:bool ->
+  confirm:int option ->
+  string

@@ -589,9 +589,9 @@ let db_append t (r : request) fp (m : Executor.measurement) =
 
 (* --- one clean (deterministic) measurement --------------------------- *)
 
-(* The measurement core: no engine state touched, so a batch can measure
-   all its units before committing any.  [Invalid_argument] escapes to
-   [task_of], which maps it to a typed reason. *)
+(* A candidate's measurement before the protocol tail.
+   [Invalid_argument] escapes [clean_simulate] to [measure_direct],
+   which maps it to a typed reason. *)
 type clean =
   | Clean of Executor.measurement
   | Clean_infeasible
@@ -612,21 +612,23 @@ let clean_simulate ?sampling ~work machine (r : request) =
 
 (* --- the resilient measurement protocol ------------------------------ *)
 
-(* Per-candidate telemetry, held until the candidate commits so that a
-   checkpoint never counts an uncommitted measurement.  A sweep group's
-   simulator work rides on its first member's. *)
-type tele = {
-  t_retries : int;
-  t_trials : int;
-  t_early_stops : int;
-  t_vm_events : int;
-  t_replayed_events : int;
-}
-
 type raw =
-  | Measured of Executor.measurement * tele
+  | Measured of Executor.measurement
   | Infeasible
-  | Failed of failure_reason * tele
+  | Failed of failure_reason
+
+(* Book the simulator's work behind a measurement. *)
+let add_work t (work : Executor.work) =
+  let s = t.stats in
+  s.vm_events <- s.vm_events + work.Executor.vm_events;
+  s.replayed_events <- s.replayed_events + work.Executor.replayed_events
+
+(* Book [f]'s wall time as evaluation time. *)
+let timed t f =
+  let t0 = Unix_time.now () in
+  let x = f () in
+  t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
+  x
 
 (* The protocol tail, applied to one candidate's clean measurement —
    whether it came from the candidate's own simulation or from a sweep
@@ -641,33 +643,22 @@ type raw =
      {!Faults.aggregate}) with an adaptive early stop once the relative
      spread is tight.
 
-   Pure: every random draw is keyed by [(key, trial, attempt)], so a
+   Every random draw is keyed by [(key, trial, attempt)], so a
    candidate's outcome is identical in any evaluation order and on any
-   measurement route. *)
-let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
-    ~(protocol : protocol) ~key clean =
-  let retries = ref 0
-  and trials = ref 0
-  and early = ref 0 in
-  let tele () =
-    {
-      t_retries = !retries;
-      t_trials = !trials;
-      t_early_stops = !early;
-      t_vm_events = work.vm_events;
-      t_replayed_events = work.replayed_events;
-    }
-  in
+   measurement route.  Trials, retries and early stops are booked in
+   the engine's counters as they happen. *)
+let protect ?(trial_base = 0) t ~(protocol : protocol) ~key clean =
+  let s = t.stats in
   match clean with
   | Clean_infeasible -> Infeasible
-  | Clean_failed reason -> Failed (reason, tele ())
+  | Clean_failed reason -> Failed reason
   | Clean m -> (
     let c0 = Executor.cycles m in
-    if c0 > protocol.cycle_cap then Failed (Timeout, tele ())
-    else if (not faults.Faults.active) && protocol.trials <= 1 then
+    if c0 > protocol.cycle_cap then Failed Timeout
+    else if (not t.faults.Faults.active) && protocol.trials <= 1 then
       (* the legacy path: no draws, no aggregation, the measurement
          exactly as simulated *)
-      Measured (m, tele ())
+      Measured m
     else begin
       let n_trials = protocol.trials in
       let samples = Array.make n_trials 0.0 in
@@ -677,7 +668,7 @@ let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
          for trial = 0 to n_trials - 1 do
            let rec attempt a =
              match
-               Faults.draw faults ~key ~trial:(trial_base + trial) ~attempt:a
+               Faults.draw t.faults ~key ~trial:(trial_base + trial) ~attempt:a
              with
              | Faults.Sample mult ->
                let c = c0 *. mult in
@@ -688,7 +679,7 @@ let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
              if a >= protocol.max_retries then
                Error (if protocol.max_retries > 0 then Quarantined else reason)
              else begin
-               incr retries;
+               s.retries <- s.retries + 1;
                attempt (a + 1)
              end
            in
@@ -696,14 +687,14 @@ let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
            | Ok c ->
              samples.(!filled) <- c;
              incr filled;
-             incr trials;
+             s.trials_run <- s.trials_run + 1;
              if
                !filled >= max 2 protocol.min_trials
                && !filled < n_trials
                && Faults.rel_spread (Array.sub samples 0 !filled)
                   <= protocol.spread_rtol
              then begin
-               incr early;
+               s.early_stops <- s.early_stops + 1;
                raise Exit
              end
            | Error reason ->
@@ -712,11 +703,10 @@ let protect ?(trial_base = 0) ~(work : Executor.work) ~faults
          done
        with Exit -> ());
       match !failure with
-      | Some reason -> Failed (reason, tele ())
+      | Some reason -> Failed reason
       | None ->
         let agg = Faults.aggregate (Array.sub samples 0 !filled) in
-        let m = if agg = c0 then m else Executor.perturb m (agg /. c0) in
-        Measured (m, tele ())
+        Measured (if agg = c0 then m else Executor.perturb m (agg /. c0))
     end)
 
 (* --- demand-trace LRU ------------------------------------------------ *)
@@ -776,7 +766,7 @@ let trace_fill t (r : request) key =
     | exception Invalid_argument _ -> None
     | dt ->
       t.stats.trace_fills <- t.stats.trace_fills + 1;
-      t.stats.vm_events <- t.stats.vm_events + work.Executor.vm_events;
+      add_work t work;
       trace_add t key dt;
       Some dt)
 
@@ -792,33 +782,28 @@ let traceable (r : request) =
 
 (* Find or capture the demand trace of a re-priced sweep group's base
    point; [None] for an uncapturable point (its members are then
-   measured directly).  Runs while the batch's units are built; the
-   unit's closure pins the trace, so a later group's capture cannot
-   evict it from under the unit.  Reuse counts a trace hit; the
-   capturing group itself does not. *)
+   measured directly).  Reuse counts a trace hit; the capturing group
+   itself does not. *)
 let group_trace t (r : request) fp =
   let key = trace_key fp in
   match trace_find t key with
   | Some dt -> Some dt
   | None -> trace_fill t r key
 
-(* Build the pure task measuring one memo miss on its own
-   (engine-state-free): a direct measurement, then the [protect] tail.
-   [Invalid_argument] from building or running the program is a
-   malformed program; any other exception is a bug and propagates. *)
-let task_of ?protocol ?trial_base t (r : request) fp =
-  let machine = t.machine
-  and faults = t.faults
-  and sampling = t.sampling in
+(* Measure one memo miss on its own: a direct measurement, then the
+   [protect] tail.  [Invalid_argument] from building or running the
+   program is a malformed program; any other exception is a bug and
+   propagates. *)
+let measure_direct ?protocol ?trial_base t (r : request) fp =
   let protocol = Option.value protocol ~default:t.protocol in
-  let key = fault_key fp in
-  fun () ->
-    let work = Executor.work () in
-    let clean =
-      try clean_simulate ?sampling ~work machine r
-      with Invalid_argument _ -> Clean_failed Malformed_program
-    in
-    protect ?trial_base ~work ~faults ~protocol ~key clean
+  timed t @@ fun () ->
+  let work = Executor.work () in
+  let clean =
+    try clean_simulate ?sampling:t.sampling ~work t.machine r
+    with Invalid_argument _ -> Clean_failed Malformed_program
+  in
+  add_work t work;
+  protect ?trial_base t ~protocol ~key:(fault_key fp) clean
 
 (* --- crash-only checkpointing ---------------------------------------- *)
 
@@ -1031,14 +1016,6 @@ let after_fresh t =
 
 (* --- commit and serve ------------------------------------------------- *)
 
-let add_tele t (tl : tele) =
-  let s = t.stats in
-  s.retries <- s.retries + tl.t_retries;
-  s.trials_run <- s.trials_run + tl.t_trials;
-  s.early_stops <- s.early_stops + tl.t_early_stops;
-  s.vm_events <- s.vm_events + tl.t_vm_events;
-  s.replayed_events <- s.replayed_events + tl.t_replayed_events
-
 (* One fresh measurement's share of the telemetry. *)
 let count_fresh t (m : Executor.measurement) =
   let s = t.stats in
@@ -1062,8 +1039,7 @@ let count_failure t reason =
    request order. *)
 let commit t ?log (r : request) fp raw =
   match raw with
-  | Measured (m, tl) ->
-    add_tele t tl;
+  | Measured m ->
     Hashtbl.replace t.memo fp (Measured_entry m);
     db_append t r fp m;
     count_fresh t m;
@@ -1086,8 +1062,7 @@ let commit t ?log (r : request) fp raw =
     t.stats.pruned <- t.stats.pruned + 1;
     (match log with Some log -> Search_log.note_pruned log | None -> ());
     None
-  | Failed (reason, tl) ->
-    add_tele t tl;
+  | Failed reason ->
     Hashtbl.replace t.memo fp (Failed_entry reason);
     count_failure t reason;
     (match log with Some log -> Search_log.note_failed log | None -> ());
@@ -1100,7 +1075,8 @@ let serve_hit t ?log entry =
   | Measured_entry m -> Some { measurement = m; cached = true }
   | Pruned_entry | Failed_entry _ -> None
 
-let evaluate_canonical t ?log r =
+let evaluate t ?log r =
+  let r = canonical r in
   interrupt t;
   let fp = fingerprint t r in
   let t0 = Unix_time.now () in
@@ -1111,13 +1087,7 @@ let evaluate_canonical t ?log r =
   | None -> (
     match db_serve t ?log fp with
     | Some ev -> Some ev
-    | None ->
-      let t0 = Unix_time.now () in
-      let raw = task_of t r fp () in
-      t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
-      commit t ?log r fp raw)
-
-let evaluate t ?log r = evaluate_canonical t ?log (canonical r)
+    | None -> commit t ?log r fp (measure_direct t r fp))
 
 let explain t r =
   match Hashtbl.find_opt t.memo (fingerprint t (canonical r)) with
@@ -1148,19 +1118,13 @@ let confirm t r ~trials =
     (* min_trials = trials disables the adaptive early stop: a
        confirmation wants the full sample. *)
     let protocol = { t.protocol with trials; min_trials = trials } in
-    let task = task_of t r fp ~protocol ~trial_base:confirm_trial_base in
-    let t0 = Unix_time.now () in
-    let raw = task () in
-    t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
-    match raw with
-    | Measured (m, tl) ->
-      add_tele t tl;
+    match measure_direct t r fp ~protocol ~trial_base:confirm_trial_base with
+    | Measured m ->
       count_fresh t m;
       after_fresh t;
       Some m
     | Infeasible -> None
-    | Failed (reason, tl) ->
-      add_tele t tl;
+    | Failed reason ->
       count_failure t reason;
       None
   end
@@ -1193,19 +1157,18 @@ let replays_verdict t fp =
     else Hashtbl.replace t.replay fp (k - 1);
     true
 
-(* Commit a batch with a sweep group held (see [after_fresh]): a
-   resumed search re-forms a group from the members its memo lacks,
-   around another base plan, so a checkpoint must not hold part of
-   one. *)
-let holding t commit =
+(* Run a batch with a sweep group held (see [after_fresh]): a resumed
+   search re-forms a group from the members its memo lacks, around
+   another base plan, so a checkpoint must not hold part of one. *)
+let holding t pass =
   t.held <- Some false;
-  match commit () with
-  | results ->
+  match pass () with
+  | evs ->
     let due = t.held = Some true in
     t.held <- None;
     if due then save_checkpoint t;
     interrupt t;
-    results
+    evs
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     t.held <- None;
@@ -1217,58 +1180,51 @@ let note_confirmed t ?log () =
 
 let note_confirm_skipped t = t.stats.confirm_skipped <- t.stats.confirm_skipped + 1
 
-(* One re-priced sweep group: [members] share one demand-trace key.
-   Distance-only siblings are re-priced from the base plan's slack
-   samples ([Demand_trace.reprice_group]), and a re-priced member comes
-   back as [None]; a group the re-pricer cannot price is measured plan
-   by plan from the captured trace ([Demand_trace.measure_plans]).
-   Every measured member then goes
-   through [protect], exactly as if it had been measured on its own.
-   The returned thunk is engine-state-free: its results commit after
-   the whole batch is measured. *)
-let group_unit t members =
-  let r0, fp0, _ = members.(0) in
+(* One re-priced sweep group, measured at its first member's slot:
+   [members] share one demand-trace key, and the result is one [raw
+   option] per member.  Distance-only siblings are re-priced from the
+   base plan's slack samples ([Demand_trace.reprice_group]), and a
+   re-priced member comes back as [None]; a group the re-pricer cannot
+   price is measured plan by plan from the captured trace
+   ([Demand_trace.measure_plans]).  Every measured member then goes
+   through [protect], exactly as if it had been measured on its own. *)
+let measure_group t members =
+  let r0, fp0 = members.(0) in
   match group_trace t r0 fp0 with
   | None ->
     (* trace capture failed: every member is measured directly *)
-    let tasks = Array.map (fun (r, fp, _) -> task_of t r fp) members in
-    (members, ref 0, fun () -> Array.map (fun task -> Some (task ())) tasks)
+    Array.map (fun (r, fp) -> Some (measure_direct t r fp)) members
   | Some dt ->
     let s = t.stats in
     s.batched_groups <- s.batched_groups + 1;
     s.batched_candidates <- s.batched_candidates + Array.length members;
-    let machine = t.machine
-    and faults = t.faults
-    and protocol = t.protocol
-    and sampling = t.sampling in
-    let kernel = r0.variant.Variant.kernel in
-    let n = r0.n in
-    let plans = Array.map (fun ((r : request), _, _) -> r.prefetch) members in
-    (* set by the thunk: the members a joint re-pricing estimated *)
-    let joint = ref 0 in
-    let thunk () =
-      let work = Executor.work () in
-      let finishing i m =
-        let _, fp, _ = members.(i) in
-        let work = if i = 0 then work else Executor.work () in
-        protect ~work ~faults ~protocol ~key:(fault_key fp) (Clean m)
-      in
-      let measured =
-        match
-          Demand_trace.reprice_group ?sampling ~work machine kernel ~n dt
-            ~plans
-        with
-        | Some rp ->
-          if rp.Demand_trace.rp_joint then joint := rp.Demand_trace.rp_estimated;
-          rp.Demand_trace.rp_measurements
-        | None ->
-          Array.map Option.some
-            (Demand_trace.measure_plans ?sampling ~work machine kernel ~n dt
-               ~plans)
-      in
-      Array.mapi (fun i m -> Option.map (finishing i) m) measured
+    let sampling = t.sampling and kernel = r0.variant.Variant.kernel in
+    let plans = Array.map (fun ((r : request), _) -> r.prefetch) members in
+    timed t @@ fun () ->
+    let work = Executor.work () in
+    let measured =
+      match
+        Demand_trace.reprice_group ?sampling ~work t.machine kernel ~n:r0.n dt
+          ~plans
+      with
+      | Some rp ->
+        if rp.Demand_trace.rp_joint then
+          s.repriced_joint <- s.repriced_joint + rp.Demand_trace.rp_estimated;
+        rp.Demand_trace.rp_measurements
+      | None ->
+        Array.map Option.some
+          (Demand_trace.measure_plans ?sampling ~work t.machine kernel ~n:r0.n
+             dt ~plans)
     in
-    (members, joint, thunk)
+    add_work t work;
+    Array.mapi
+      (fun i m ->
+        Option.map
+          (fun m ->
+            protect t ~protocol:t.protocol ~key:(fault_key (snd members.(i)))
+              (Clean m))
+          m)
+      measured
 
 let evaluate_batch t ?log reqs =
   batch_boundary t;
@@ -1315,10 +1271,8 @@ let evaluate_batch t ?log reqs =
         sorted
     end);
   (* Plan: classify each request as pre-filtered, a replayed verdict, a
-     memo hit, a duplicate of an earlier slot, or a scheduled miss.
-     Each miss becomes a pure task, measured after the plan is
-     complete and committed in request order. *)
-  let slots = Hashtbl.create 16 in
+     memo hit, a duplicate of an earlier miss, or a miss. *)
+  let misses = Hashtbl.create 16 in
   let t0 = Unix_time.now () in
   let plan =
     List.map2
@@ -1326,103 +1280,73 @@ let evaluate_batch t ?log reqs =
         if Hashtbl.mem skip fp then `Skip
         else if replays_verdict t fp then `Replayed
         else if Hashtbl.mem t.memo fp then `Hit fp
-        else
-          match Hashtbl.find_opt slots fp with
-          | Some _ -> `Dup fp
-          | None ->
-            let slot = Hashtbl.length slots in
-            Hashtbl.add slots fp slot;
-            `Run (r, fp, slot))
+        else if Hashtbl.mem misses fp then `Dup fp
+        else begin
+          Hashtbl.add misses fp ();
+          `Miss (r, fp)
+        end)
       reqs fps
   in
   t.stats.memo_seconds <- t.stats.memo_seconds +. (Unix_time.now () -. t0);
-  let executed =
-    List.filter_map
-      (function
-        | `Run (r, fp, slot) -> Some (r, fp, slot)
-        | `Skip | `Replayed | `Hit _ | `Dup _ -> None)
-      plan
-  in
   (* The database is consulted only AFTER the pre-filter chose its
      skip set: served candidates are the ones the plan would have
      simulated, so the skip set — and with it the whole search
      trajectory — is identical to the run that populated the
      database, and a fully-populated rerun replays with zero fresh
      simulations.  (A skipped candidate stays skipped even when it is
-     on disk, for the same reason.) *)
+     on disk, for the same reason.)  A served miss joins no sweep
+     group, so groups stay those of the run that filled the store. *)
   let served = Hashtbl.create 16 in
   List.iter
-    (fun (_, fp, _) ->
-      match db_serve t ?log fp with
-      | Some ev -> Hashtbl.replace served fp ev
-      | None -> ())
-    executed;
-  let executed =
-    List.filter (fun (_, fp, _) -> not (Hashtbl.mem served fp)) executed
-  in
-  (* Units: each unit measures a disjoint subset of [executed] and
-     returns one [raw option] per member ([None] = re-priced away,
-     never simulated).  Under incremental re-pricing (cycles objective),
-     prefetch candidates sharing a demand trace form one group unit,
-     placed at the first member's position; every other candidate is a
-     singleton task, measured directly. *)
-  let singleton ((r, fp, _) as e) =
-    let task = task_of t r fp in
-    ([| e |], ref 0, fun () -> [| Some (task ()) |])
-  in
-  let repricing = t.incremental && t.objective = Objective.Cycles in
+    (function
+      | `Miss (_, fp) -> (
+        match db_serve t ?log fp with
+        | Some ev -> Hashtbl.replace served fp ev
+        | None -> ())
+      | `Skip | `Replayed | `Hit _ | `Dup _ -> ())
+    plan;
+  (* Sweep groups: under incremental re-pricing (cycles objective), the
+     prefetch misses sharing a demand trace, in request order.  Every
+     other miss is measured directly. *)
   let buckets = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun ((r, fp, _) as e) ->
-      if repricing && traceable r then begin
-        let key = trace_key fp in
-        match Hashtbl.find_opt buckets key with
-        | Some q -> Queue.add e q
-        | None ->
-          let q = Queue.create () in
-          Queue.add e q;
-          Hashtbl.add buckets key q;
-          order := `Group key :: !order
-      end
-      else order := `Single e :: !order)
-    executed;
-  let units =
-    List.map
+  if t.incremental && t.objective = Objective.Cycles then
+    List.iter
       (function
-        | `Single e -> singleton e
-        | `Group key ->
-          let members =
-            Array.of_seq (Queue.to_seq (Hashtbl.find buckets key))
-          in
-          if Array.length members = 1 then singleton members.(0)
-          else group_unit t members)
-      (List.rev !order)
+        | `Miss (r, fp) when (not (Hashtbl.mem served fp)) && traceable r ->
+          let key = trace_key fp in
+          let prev = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+          Hashtbl.replace buckets key ((r, fp) :: prev)
+        | `Miss _ | `Skip | `Replayed | `Hit _ | `Dup _ -> ())
+      plan;
+  let group_of = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun _ rev ->
+      if List.compare_length_with rev 1 > 0 then begin
+        let members = Array.of_list (List.rev rev) in
+        Array.iter (fun (_, fp) -> Hashtbl.replace group_of fp members) members
+      end)
+    buckets;
+  (* One pass in request order: each miss is measured at its own slot
+     and committed at once, so memo, telemetry and log end up identical
+     to a serial evaluation of the same list.  A sweep group is measured
+     at its first member's slot; its later members' results wait in
+     [waiting] for their own slots.  A duplicate always follows the
+     miss that resolves it, so it lands as a hit, or as another
+     re-price when that miss was re-priced. *)
+  let waiting = Hashtbl.create 8 in
+  let measure r fp =
+    match Hashtbl.find_opt waiting fp with
+    | Some raw -> raw
+    | None -> (
+      match Hashtbl.find_opt group_of fp with
+      | None -> Some (measure_direct t r fp)
+      | Some members ->
+        Array.iter2
+          (fun (_, fp) raw -> Hashtbl.replace waiting fp raw)
+          members (measure_group t members);
+        Hashtbl.find waiting fp)
   in
-  let units = Array.of_list units in
-  let t0 = Unix_time.now () in
-  let results = Array.map (fun (_, _, thunk) -> thunk ()) units in
-  t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
-  Array.iter
-    (fun (_, joint, _) ->
-      t.stats.repriced_joint <- t.stats.repriced_joint + !joint)
-    units;
-  let raw_of_slot = Hashtbl.create 16 in
-  let repriced_slots = Hashtbl.create 4 in
-  Array.iteri
-    (fun u (members, _, _) ->
-      Array.iteri
-        (fun i (_, _, slot) ->
-          match results.(u).(i) with
-          | Some raw -> Hashtbl.replace raw_of_slot slot raw
-          | None -> Hashtbl.replace repriced_slots slot ())
-        members)
-    units;
-  (* Commit in request order: memo, telemetry and log end up identical
-     to a serial evaluation of the same list (a duplicate always
-     follows the slot that resolves it, so it lands as a hit — or as
-     another re-price when its slot was re-priced). *)
-  let commit_all () =
+  let pass () =
     List.map
       (function
         | `Skip ->
@@ -1436,17 +1360,16 @@ let evaluate_batch t ?log reqs =
           match Hashtbl.find_opt t.memo fp with
           | Some entry -> serve_hit t ?log entry
           | None -> reprice t ?log fp)
-        | `Run (r, fp, slot) -> (
+        | `Miss (r, fp) -> (
           match Hashtbl.find_opt served fp with
           | Some ev -> Some ev
-          | None ->
-            if Hashtbl.mem repriced_slots slot then reprice t ?log fp
-            else commit t ?log r fp (Hashtbl.find raw_of_slot slot)))
+          | None -> (
+            match measure r fp with
+            | Some raw -> commit t ?log r fp raw
+            | None -> reprice t ?log fp)))
       plan
   in
-  if Array.exists (fun (members, _, _) -> Array.length members > 1) units then
-    holding t commit_all
-  else commit_all ()
+  if Hashtbl.length group_of > 0 then holding t pass else pass ()
 
 let program_fingerprint kernel ~n ~mode shape =
   {
@@ -1474,13 +1397,12 @@ let measure_program t ?key kernel ~n ~mode program =
       | exception _ -> None)
   in
   let run () =
-    let t0 = Unix_time.now () in
     let work = Executor.work () in
-    let m = Executor.measure ~work t.machine kernel ~n ~mode program in
-    t.stats.eval_seconds <- t.stats.eval_seconds +. (Unix_time.now () -. t0);
-    t.stats.vm_events <- t.stats.vm_events + work.Executor.vm_events;
-    t.stats.replayed_events <-
-      t.stats.replayed_events + work.Executor.replayed_events;
+    let m =
+      timed t (fun () ->
+          Executor.measure ~work t.machine kernel ~n ~mode program)
+    in
+    add_work t work;
     count_fresh t m;
     after_fresh t;
     m

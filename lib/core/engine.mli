@@ -27,10 +27,12 @@
       Only a prefetch plan whose every distance is at least 1 joins a
       group; a shorter distance has no program, and fails as
       {!Malformed_program} on the direct route.
-    - {b One domain} — [evaluate_batch] measures its memo misses one
-      at a time, as the paper's phase 2 times each candidate on the
-      target machine, and commits them to the memo table, telemetry
-      and the {!Search_log} in request order.
+    - {b One domain, one pass} — [evaluate_batch] walks its requests
+      once, in order, as the paper's phase 2 times each candidate on
+      the target machine: each memo miss is measured at its own slot
+      and committed at once to the memo table, telemetry and the
+      {!Search_log}.  A re-priced sweep group is measured at its first
+      member's slot, and each later member commits at its own.
     - {b Fault tolerance} — with a {!Faults.t} plan and a {!protocol},
       each candidate is measured under a resilient protocol: repeated
       trials aggregated by median/trimmed mean with adaptive early
@@ -431,10 +433,13 @@ val set_eval_limit : t -> int -> unit
 exception Deadline_exceeded
 
 (** [set_poll t (Some f)] installs a cooperative interruption hook:
-    [f] runs before each evaluation and after each fresh one, and may
-    raise (e.g. a cancel token) to abort the search in progress.
-    [None] uninstalls.  The engine state is consistent at every call
-    site, so an exception here never tears the memo. *)
+    [f] runs before each {!evaluate}, at the top of each
+    {!evaluate_batch}, and after each fresh commit — between the
+    measurements of one batch, so a cancel lands within one evaluation
+    (within a batch with a sweep group, after the batch's last
+    commit).  It may raise (e.g. a cancel token) to abort the search
+    in progress.  [None] uninstalls.  The engine state is consistent
+    at every call site, so an exception here never tears the memo. *)
 val set_poll : t -> (unit -> unit) option -> unit
 
 (** [set_yield t (Some f)] installs a batch-boundary hook: [f] runs at

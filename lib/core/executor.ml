@@ -37,8 +37,11 @@ type measurement = {
 }
 
 (* Per-domain buffer pool: repeated evaluations on one domain reuse the
-   same event and mark buffers instead of reallocating per candidate;
-   [eco check]'s trial domains each get their own. *)
+   same event and mark buffers instead of reallocating per candidate.
+   Domain-local rather than global so that measuring stays safe from
+   any domain: two domains measuring at once never share a buffer.
+   (The engine measures on one domain; [eco check]'s trial domains run
+   only the IR interpreter and never measure.) *)
 let buffers : (Ir.Vm.Buf.t * Ir.Vm.Buf.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       (Ir.Vm.Buf.create ~capacity:(1 lsl 16) (), Ir.Vm.Buf.create ~capacity:4096 ()))

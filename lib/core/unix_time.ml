@@ -2,5 +2,3 @@
    elapsed time, so search-cost accounting uses it rather than CPU
    time. *)
 let now () = Unix.gettimeofday ()
-
-let cpu () = Sys.time ()

@@ -1,6 +1,3 @@
 (** Wall-clock seconds (epoch-based): search-cost accounting reports
     elapsed time, as the paper's search times are. *)
 val now : unit -> float
-
-(** Process CPU seconds, for callers that want the serial-work measure. *)
-val cpu : unit -> float

@@ -61,19 +61,18 @@ let kernels =
     ("wavefront", Kernels.Wavefront.kernel);
   ]
 
-(* Mirrors [eco tune]'s checkpoint tag for the service's fixed knobs
-   (no measurement faults, default protocol), so a daemon checkpoint is
+(* [eco tune]'s checkpoint tag for the service's fixed knobs (no
+   measurement faults, the default protocol), so a daemon checkpoint is
    verified against exactly the configuration that must reproduce its
    answer. *)
 let session_tag cfg ~kernel ~n ~machine ~budget ~objective ~prefilter =
-  Printf.sprintf
-    "tune|m=%s|k=%s|n=%d|b=%d|faults=none|trials=1|retries=2|obj=%s|pf=%s|db=%s|sample=off|incr=off|confirm=adaptive"
-    machine.Machine.name kernel n budget
-    (Objective.to_string objective)
-    (match prefilter with Some k -> string_of_int k | None -> "off")
-    (match cfg.db_file with
-    | None -> "off"
-    | Some _ -> if cfg.warm_start then "warm" else "exact")
+  Eco.checkpoint_tag ~machine ~kernel ~n ~budget ~faults:Faults.none
+    ~protocol:Engine.default_protocol ~objective ~prefilter
+    ~db:
+      (match cfg.db_file with
+      | None -> `Off
+      | Some _ -> if cfg.warm_start then `Warm else `Exact)
+    ~sampling:None ~incremental:false ~confirm:None
 
 (* ---------- requests and sessions ---------- *)
 

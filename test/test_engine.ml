@@ -163,6 +163,47 @@ let test_measure_program_memoizes () =
   Alcotest.(check int) "two fresh" 2 s.Core.Engine.fresh;
   Alcotest.(check int) "one hit" 1 s.Core.Engine.hits
 
+(* --- interruption --- *)
+
+(* The poll hook runs between the measurements of one batch: once at
+   the batch boundary, then after each fresh commit, with that
+   evaluation's time already booked.  A cancel therefore lands within
+   one evaluation, not after the whole batch is measured. *)
+let test_poll_between_measurements () =
+  let engine = Core.Engine.create sgi in
+  let v = variant () in
+  let bindings = some_point engine v ~n:48 in
+  let reqs =
+    List.map
+      (fun d ->
+        Core.Engine.request v ~n:48 ~mode:fast ~bindings ~prefetch:[ ("a", d) ])
+      [ 1; 2; 4; 8; 16 ]
+  in
+  let polls = ref [] in
+  Core.Engine.set_poll engine
+    (Some (fun () -> polls := Core.Engine.stats engine :: !polls));
+  let evs = Core.Engine.evaluate_batch engine reqs in
+  Core.Engine.set_poll engine None;
+  Alcotest.(check int) "every point measured" (List.length reqs)
+    (List.length (List.filter Option.is_some evs));
+  match List.rev !polls with
+  | [] -> Alcotest.fail "the poll hook never ran"
+  | boundary :: after ->
+    Alcotest.(check int) "boundary poll precedes every measurement" 0
+      boundary.Core.Engine.fresh;
+    Alcotest.(check (list int)) "one post-commit poll per fresh evaluation"
+      (List.init (List.length reqs) (fun i -> i + 1))
+      (List.map (fun (s : Core.Engine.stats) -> s.fresh) after);
+    ignore
+      (List.fold_left
+         (fun (prev : Core.Engine.stats) (s : Core.Engine.stats) ->
+           if not (s.eval_seconds > prev.eval_seconds) then
+             Alcotest.failf
+               "eval_seconds did not rise between polls %d and %d (%g -> %g)"
+               prev.fresh s.fresh prev.eval_seconds s.eval_seconds;
+           s)
+         boundary after)
+
 (* --- malformed programs --- *)
 
 (* A prefetch distance below 1 has no program, so the candidate fails
@@ -635,4 +676,6 @@ let suite =
       test_quarantine_never_persisted;
     Alcotest.test_case "each search driver's work pinned" `Quick
       test_pinned_driver_work;
+    Alcotest.test_case "poll runs between a batch's measurements" `Quick
+      test_poll_between_measurements;
   ]

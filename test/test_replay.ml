@@ -455,10 +455,11 @@ let capture_for bindings v ~n =
   Core.Demand_trace.capture sgi Matmul.kernel ~n ~mode:fast program
 
 (* The per-plan reference: one plan's synthesized stream, measured. *)
-let reference_measure ?sampling dt plan =
+let reference_measure ?sampling ?work ?(kernel = Matmul.kernel) ?(n = 48) dt
+    plan =
   let buf = Ir.Vm.Buf.create ~capacity:(1 lsl 16) () in
   let cut = Core.Demand_trace.synthesize dt ~plan ~into:buf in
-  Core.Executor.measure_from_trace ?sampling sgi Matmul.kernel ~n:48
+  Core.Executor.measure_from_trace ?sampling ?work sgi kernel ~n
     ~stats:(Core.Demand_trace.stats dt)
     ~events:(Ir.Vm.Buf.data buf)
     ~n_events:(Ir.Vm.Buf.length buf) ~cut
@@ -521,38 +522,84 @@ let test_batched_matches_unbatched_sampled () =
 
 (* --- incremental re-pricing ------------------------------------------- *)
 
-let test_reprice_group_base_and_best_exact () =
-  let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
-  let dt = capture_for bindings v ~n:48 in
-  match
-    Core.Demand_trace.reprice_group sgi Matmul.kernel ~n:48 dt
-      ~plans:sweep_plans
-  with
-  | None -> Alcotest.fail "single-array sweep should be repriceable"
+(* An exact distance sweep re-prices: the re-pricer takes at most two
+   real measurements (the base plan and the estimated-best sibling),
+   each bit-identical to the per-plan reference, and its walk replays
+   no more events than those plans' own replays.  Inputs: a 4-plan
+   sweep at matmul n=48, and the eval bench's K=24 sweep
+   ([sweep_microbench] in bench/main.ml) on each bench kernel: the
+   first variant's model point, its first heap array at distances
+   1-24, budget 200000.  Per-plan measurement of a K=24 group replays
+   12x (24x on jacobi3d) the events its re-pricing does. *)
+let check_reprice_base_and_best ~ctx (kernel : Kernels.Kernel.t) ~n dt
+    ~plans =
+  let work = Core.Executor.work () in
+  match Core.Demand_trace.reprice_group ~work sgi kernel ~n dt ~plans with
+  | None -> Alcotest.failf "%s: a single-array sweep should re-price" ctx
   | Some r ->
-    let k = Array.length sweep_plans in
+    let k = Array.length plans in
     let measured =
       Array.fold_left
         (fun acc m -> if m <> None then acc + 1 else acc)
         0 r.Core.Demand_trace.rp_measurements
     in
-    Alcotest.(check int) "estimated = k - measured"
+    Alcotest.(check int) (ctx ^ ": estimated = k - measured")
       (k - measured) r.Core.Demand_trace.rp_estimated;
-    Alcotest.(check bool) "at most two real measurements" true (measured <= 2);
+    if measured > 2 then
+      Alcotest.failf "%s: %d real measurements of %d plans, at most 2 expected"
+        ctx measured k;
     (* Every real measurement must be bit-identical to the per-plan
        reference: committed numbers never come from the model. *)
+    let plain = Core.Executor.work () in
     Array.iteri
       (fun i m ->
         match m with
         | None -> ()
         | Some m ->
-          let solo = reference_measure dt sweep_plans.(i) in
-          Alcotest.(check bool)
-            (Printf.sprintf "measured plan %d exact" i)
-            true
+          let solo = reference_measure ~work:plain ~kernel ~n dt plans.(i) in
+          let what = Printf.sprintf "%s: measured plan %d exact" ctx i in
+          check_counters (what ^ " (counters)") m.Core.Executor.counters
+            solo.Core.Executor.counters;
+          Alcotest.(check bool) what true
             (Core.Executor.cycles m = Core.Executor.cycles solo))
-      r.Core.Demand_trace.rp_measurements
+      r.Core.Demand_trace.rp_measurements;
+    if work.replayed_events > plain.replayed_events then
+      Alcotest.failf
+        "%s: the re-priced walk replays %d events, the plans it measured %d"
+        ctx work.replayed_events plain.replayed_events
+
+let test_reprice_group_base_and_best_exact () =
+  let v = variant () in
+  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  check_reprice_base_and_best ~ctx:"matmul n=48" Matmul.kernel ~n:48
+    (capture_for bindings v ~n:48)
+    ~plans:sweep_plans;
+  List.iter
+    (fun ((kernel : Kernels.Kernel.t), n) ->
+      let v = List.hd (Core.Derive.variants sgi kernel) in
+      let bindings =
+        Option.value ~default:[] (Core.Search.model_point sgi ~n v)
+      in
+      let dt =
+        Core.Demand_trace.capture sgi kernel ~n
+          ~mode:(Core.Executor.Budget 200_000)
+          (Core.Variant.instantiate v ~bindings)
+      in
+      let arr =
+        (List.hd (Ir.Program.heap_arrays (Core.Demand_trace.program dt)))
+          .Ir.Decl.name
+      in
+      check_reprice_base_and_best
+        ~ctx:(Printf.sprintf "%s n=%d K=24" kernel.Kernels.Kernel.name n)
+        kernel ~n dt
+        ~plans:(Array.init 24 (fun i -> [ (arr, 1 + i) ])))
+    [
+      (Matmul.kernel, 128);
+      (Kernels.Jacobi3d.kernel, 64);
+      (Kernels.Matvec.kernel, 256);
+      (Kernels.Stencil2d.kernel, 128);
+      (Kernels.Wavefront.kernel, 128);
+    ]
 
 (* Multi-array distance variation takes the joint slack path: every
    varying array gets its own slack bucket, siblings are priced under

@@ -518,6 +518,44 @@ let test_daemon_degraded_db () =
       in
       check_matches_reference ~ctx:"degraded-db answer" reference r)
 
+(* --- checkpoint tags --- *)
+
+(* [eco tune] and [eco serve] tag checkpoints with [Eco.checkpoint_tag],
+   and the daemon names a session's checkpoint and request files by the
+   tag's digest, so the format is pinned: a changed tag orphans every
+   stored session.  The strings are the ones the CLI and the daemon
+   have always written. *)
+let test_checkpoint_tags_pinned () =
+  (* eco tune -m sun -k jacobi3d -n 24 -b 20000
+       --faults seed=7,noise=0.01,transient=0.05 --trials 3 --retries 4
+       --objective energy --prefilter=2 --db F --no-warm-start
+       --sample=shrink=4 --incremental --confirm 3 *)
+  Alcotest.(check string) "eco tune"
+    "tune|m=Sun UltraSparc IIe|k=jacobi3d|n=24|b=20000|faults=seed=7,noise=0.01,transient=0.05|trials=3|retries=4|obj=energy|pf=2|db=exact|sample=shrink=4,window=4096,gap=28672,warm=2048|incr=on|confirm=3"
+    (Core.Eco.checkpoint_tag ~machine:Machine.ultrasparc_iie ~kernel:"jacobi3d"
+       ~n:24 ~budget:20_000
+       ~faults:(Faults.of_spec "seed=7,noise=0.01,transient=0.05")
+       ~protocol:
+         { Core.Engine.default_protocol with trials = 3; max_retries = 4 }
+       ~objective:Core.Objective.Energy ~prefilter:(Some 2) ~db:`Exact
+       ~sampling:(Some (Memsim.Sampling.parse "shrink=4"))
+       ~incremental:true ~confirm:(Some 3));
+  Alcotest.(check string) "daemon, default config"
+    "tune|m=SGI R10000|k=matmul|n=96|b=200000|faults=none|trials=1|retries=2|obj=cycles|pf=off|db=off|sample=off|incr=off|confirm=adaptive"
+    (Daemon.session_tag Daemon.default_config ~kernel:"matmul" ~n:96
+       ~machine:sgi ~budget:200_000 ~objective:Core.Objective.Cycles
+       ~prefilter:None);
+  Alcotest.(check string) "daemon, warm-start db"
+    "tune|m=Sun UltraSparc IIe|k=matvec|n=64|b=100000|faults=none|trials=1|retries=2|obj=energy|pf=4|db=warm|sample=off|incr=off|confirm=adaptive"
+    (Daemon.session_tag
+       {
+         Daemon.default_config with
+         Daemon.db_file = Some "store.db";
+         warm_start = true;
+       }
+       ~kernel:"matvec" ~n:64 ~machine:Machine.ultrasparc_iie ~budget:100_000
+       ~objective:Core.Objective.Energy ~prefilter:(Some 4))
+
 let suite =
   [
     Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
@@ -541,4 +579,6 @@ let suite =
     Alcotest.test_case "daemon: crash recovery replay" `Quick
       test_daemon_recovery_replay;
     Alcotest.test_case "daemon: degraded db" `Quick test_daemon_degraded_db;
+    Alcotest.test_case "checkpoint tags pinned" `Quick
+      test_checkpoint_tags_pinned;
   ]
